@@ -6,8 +6,9 @@
 //! EBR-based scheme by ≈20%; past the hardware-thread count, IBR/HE dip and
 //! MP can overtake them.
 
-use mp_bench::{for_each_scheme, BenchParams, Table};
+use mp_bench::{driver::run_avg, BenchParams, Table, COMPARISON};
 use mp_ds::NmTree;
+use mp_smr::with_scheme;
 
 fn main() {
     let paper_s = 500_000;
@@ -20,14 +21,15 @@ fn main() {
         );
         for threads in mp_bench::thread_sweep() {
             let p = BenchParams::paper(threads, paper_s, mix);
-            for_each_scheme!(NmTree, &p, runs, |name, res| {
+            for kind in COMPARISON {
+                let res = with_scheme!(kind, S => run_avg::<S, NmTree<S>>(&p, runs));
                 table.row(vec![
                     threads.to_string(),
-                    name.to_string(),
+                    kind.name().to_string(),
                     format!("{:.3}", res.mops),
                     format!("{:.1}", res.avg_retired),
                 ]);
-            });
+            }
         }
         table.emit(&format!("fig2_bst_{}", mix.name));
     }

@@ -4,8 +4,9 @@
 //! in non-read-only workloads, HP trails, read-only MP ≈ −30% vs the best
 //! EBR-based scheme.
 
-use mp_bench::{for_each_scheme, BenchParams, Table};
+use mp_bench::{driver::run_avg, BenchParams, Table, COMPARISON};
 use mp_ds::SkipList;
+use mp_smr::with_scheme;
 
 fn main() {
     let paper_s = 500_000;
@@ -18,14 +19,15 @@ fn main() {
         );
         for threads in mp_bench::thread_sweep() {
             let p = BenchParams::paper(threads, paper_s, mix);
-            for_each_scheme!(SkipList, &p, runs, |name, res| {
+            for kind in COMPARISON {
+                let res = with_scheme!(kind, S => run_avg::<S, SkipList<S>>(&p, runs));
                 table.row(vec![
                     threads.to_string(),
-                    name.to_string(),
+                    kind.name().to_string(),
                     format!("{:.3}", res.mops),
                     format!("{:.1}", res.avg_retired),
                 ]);
-            });
+            }
         }
         table.emit(&format!("fig3_skiplist_{}", mix.name));
     }

@@ -6,9 +6,10 @@
 //! schemes is widest here — the "symbiotic" effect: the slower the data
 //! structure, the more MP's per-dereference work shows.
 
-use mp_bench::{for_each_scheme, BenchParams, Table};
+use mp_bench::{driver::run_avg, BenchParams, Table, COMPARISON};
 use mp_ds::{DtaList, LinkedList};
 use mp_smr::schemes::Dta;
+use mp_smr::with_scheme;
 
 fn main() {
     let paper_s = 5_000;
@@ -21,16 +22,17 @@ fn main() {
         );
         for threads in mp_bench::thread_sweep() {
             let p = BenchParams::paper(threads, paper_s, mix);
-            for_each_scheme!(LinkedList, &p, runs, |name, res| {
+            for kind in COMPARISON {
+                let res = with_scheme!(kind, S => run_avg::<S, LinkedList<S>>(&p, runs));
                 table.row(vec![
                     threads.to_string(),
-                    name.to_string(),
+                    kind.name().to_string(),
                     format!("{:.3}", res.mops),
                     format!("{:.1}", res.avg_retired),
                 ]);
-            });
+            }
             // DTA runs on its co-designed list (§6 evaluates DTA only here).
-            let res = mp_bench::driver::run_avg::<Dta, DtaList>(&p, runs);
+            let res = run_avg::<Dta, DtaList>(&p, runs);
             table.row(vec![
                 threads.to_string(),
                 "DTA".to_string(),

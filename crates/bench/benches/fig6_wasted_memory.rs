@@ -7,9 +7,10 @@
 //! an explicitly stalled thread (§1's scenario), which makes EBR-family
 //! waste grow without bound while MP's stays bounded.
 
-use mp_bench::{for_each_scheme, BenchParams, StallMode, Table};
+use mp_bench::{driver::run_avg, BenchParams, StallMode, Table, COMPARISON};
 use mp_ds::{DtaList, LinkedList, NmTree, SkipList};
 use mp_smr::schemes::Dta;
+use mp_smr::with_scheme;
 
 fn main() {
     let runs = mp_bench::runs();
@@ -28,15 +29,16 @@ fn main() {
                 ($ds:ident, $label:expr, $paper:expr) => {{
                     let mut p = BenchParams::paper(threads, $paper, mix);
                     p.stall = stall;
-                    for_each_scheme!($ds, &p, runs, |name, res| {
+                    for kind in COMPARISON {
+                        let res = with_scheme!(kind, S => run_avg::<S, $ds<S>>(&p, runs));
                         table.row(vec![
                             $label.to_string(),
                             threads.to_string(),
-                            name.to_string(),
+                            kind.name().to_string(),
                             format!("{:.1}", res.avg_retired),
                             res.peak_pending.to_string(),
                         ]);
-                    });
+                    }
                 }};
             }
             ds_point!(NmTree, "nmtree", 500_000);
@@ -45,7 +47,7 @@ fn main() {
             // DTA on its list (§6: little waste; freezing rarely fires).
             let mut p = BenchParams::paper(threads, 5_000, mix);
             p.stall = stall;
-            let res = mp_bench::driver::run_avg::<Dta, DtaList>(&p, runs);
+            let res = run_avg::<Dta, DtaList>(&p, runs);
             table.row(vec![
                 "list".into(),
                 threads.to_string(),

@@ -7,8 +7,7 @@
 //! a backpressure byte cap, turning the run into the §1 survival scenario
 //! with engagement counts and peak RSS reported per scheme. Emits
 //! `BENCH_soak.json` (schema `mp-bench/soak/v2`) at the workspace root
-//! (or `$MP_BENCH_DIR`). Schemes are selected at runtime through the
-//! `AnySmr` facade, so the whole sweep is one monomorphization.
+//! (or `$MP_BENCH_DIR`). Each scheme runs its own monomorphized code.
 //!
 //! Knobs: `MP_SOAK_DURATION_MS` (per scheme), `MP_SOAK_OVERSUB`
 //! (threads = oversub × cores, default 4), `MP_SOAK_PREFILL`,
@@ -21,9 +20,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use mp_bench::{json_str, run_soak_kind, KeyDist, SoakParams, SoakResult, Table};
+use mp_bench::{json_str, run_soak, KeyDist, SoakParams, SoakResult, Table, COMPARISON};
 use mp_ds::HashMap;
-use mp_smr::{AnySmr, SchemeKind};
+use mp_smr::with_scheme;
 
 fn env_u64(key: &str, default: u64) -> u64 {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -131,14 +130,12 @@ fn main() {
         bp_bytes
     );
 
-    // The §6 comparison set, runtime-selected through the facade. DTA is
-    // list-specific (degenerates to EBR without its freezer) and skipped.
-    let kinds =
-        [SchemeKind::Mp, SchemeKind::Ibr, SchemeKind::He, SchemeKind::Hp, SchemeKind::Ebr];
+    // The §6 comparison set. DTA is list-specific (degenerates to EBR
+    // without its freezer) and skipped.
     let mut rows: Vec<Row> = Vec::new();
-    for kind in kinds {
+    for kind in COMPARISON {
         eprintln!("[soak] {} ...", kind.name());
-        let res = run_soak_kind::<HashMap<AnySmr>>(kind, &p);
+        let res = with_scheme!(kind, S => run_soak::<S, HashMap<S>>(&p));
         rows.push(Row { scheme: kind.name(), res });
     }
 

@@ -14,8 +14,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use mp_bench::{for_each_scheme, json_str, BenchParams, BenchResult, Table};
+use mp_bench::{driver::run_avg, json_str, BenchParams, BenchResult, Table, COMPARISON};
 use mp_ds::{LinkedList, NmTree, SkipList};
+use mp_smr::with_scheme;
 
 /// One measured point of the sweep.
 struct Point {
@@ -120,9 +121,12 @@ fn main() {
         ($ds:ident, $label:expr, $paper_s:expr, $pool_on:expr) => {
             for &threads in &sweep {
                 let p = BenchParams::paper(threads, $paper_s, mp_bench::READ_DOMINATED);
-                for_each_scheme!($ds, &p, runs, |name, res| {
-                    points.push(Point::from(name, $label, threads, $pool_on, "watermark", &res));
-                });
+                for kind in COMPARISON {
+                    let res = with_scheme!(kind, S => run_avg::<S, $ds<S>>(&p, runs));
+                    points.push(Point::from(
+                        kind.name(), $label, threads, $pool_on, "watermark", &res,
+                    ));
+                }
             }
         };
     }
@@ -144,9 +148,10 @@ fn main() {
         eprintln!("[throughput] fixed-cadence ablation at {top} threads");
         let mut p = BenchParams::paper(top, 5_000, mp_bench::READ_DOMINATED);
         p.config = p.config.with_fixed_cadence(true);
-        for_each_scheme!(LinkedList, &p, runs, |name, res| {
-            points.push(Point::from(name, "list", top, true, "fixed", &res));
-        });
+        for kind in COMPARISON {
+            let res = with_scheme!(kind, S => run_avg::<S, LinkedList<S>>(&p, runs));
+            points.push(Point::from(kind.name(), "list", top, true, "fixed", &res));
+        }
     }
 
     let mut table = Table::new(

@@ -5,7 +5,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mp_ds::ConcurrentSet;
-use mp_smr::{AnySmr, Config, SchemeKind, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_smr::{Config, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
 
 use crate::workload::{draw_key, thread_rng, Mix, Op};
 
@@ -172,27 +172,8 @@ pub fn silence_injected_panics() {
 
 /// Runs one measurement point of scheme `S` on structure `D`.
 pub fn run<S: Smr, D: ConcurrentSet<S>>(p: &BenchParams) -> BenchResult {
-    run_with::<S, D>(p, |cfg| S::new(cfg))
-}
-
-/// Runs one measurement point of the runtime-selected `kind` on structure
-/// `D` through the [`AnySmr`] facade — one monomorphization for the whole
-/// scheme sweep, at enum-dispatch cost on the hot path (fine for
-/// comparisons, use [`run`] for absolute numbers).
-pub fn run_kind<D: ConcurrentSet<AnySmr>>(kind: SchemeKind, p: &BenchParams) -> BenchResult {
-    run_with::<AnySmr, D>(p, |cfg| {
-        AnySmr::try_with_kind(kind, cfg).expect("valid bench config")
-    })
-}
-
-/// [`run`] with an explicit scheme constructor (the facade entry point
-/// injects the selected kind through `make`).
-fn run_with<S: Smr, D: ConcurrentSet<S>>(
-    p: &BenchParams,
-    make: impl FnOnce(Config) -> Arc<S>,
-) -> BenchResult {
     p.mix.check();
-    let smr = make(p.config.clone());
+    let smr = S::new(p.config.clone());
     let ds = Arc::new(D::new(&smr));
     let key_range = (2 * p.prefill.max(1)) as u64;
 
@@ -403,6 +384,7 @@ mod tests {
     use crate::workload::{READ_DOMINATED, READ_ONLY};
     use mp_ds::{LinkedList, NmTree, SkipList};
     use mp_smr::schemes::{Ebr, Hp, Mp};
+    use mp_smr::{with_scheme, SchemeKind};
 
     fn quick(threads: usize, prefill: usize, mix: Mix) -> BenchParams {
         let mut p = BenchParams::new(threads, prefill, mix);
@@ -423,10 +405,10 @@ mod tests {
     }
 
     #[test]
-    fn facade_run_matches_the_static_path() {
+    fn runtime_selected_kind_runs_the_static_path() {
         let p = quick(2, 100, READ_DOMINATED);
-        let r = run_kind::<LinkedList<AnySmr>>(SchemeKind::Hp, &p);
-        assert!(r.total_ops > 0, "no progress through the facade: {r:?}");
+        let r = with_scheme!(SchemeKind::Hp, S => run::<S, LinkedList<S>>(&p));
+        assert!(r.total_ops > 0, "no progress for a runtime-selected kind: {r:?}");
         assert!(r.telemetry.ops() >= r.total_ops);
     }
 

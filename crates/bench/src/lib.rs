@@ -24,12 +24,14 @@ pub mod report;
 pub mod soak;
 pub mod workload;
 
+use mp_smr::SchemeKind;
+
 pub use driver::{
-    run, run_kind, silence_injected_panics, BenchParams, BenchResult, FaultMode, Prefill,
-    StallMode, INJECTED_PANIC,
+    run, silence_injected_panics, BenchParams, BenchResult, FaultMode, Prefill, StallMode,
+    INJECTED_PANIC,
 };
 pub use report::{csv_path, json_path, json_str, out_dir, Table};
-pub use soak::{rss_kb, run_soak, run_soak_kind, SoakParams, SoakResult};
+pub use soak::{rss_kb, run_soak, SoakParams, SoakResult};
 pub use workload::{KeyDist, KeySampler, Mix, READ_DOMINATED, READ_ONLY, WRITE_DOMINATED};
 
 /// Reads the thread counts to sweep (env `MP_BENCH_THREADS`, e.g. "1,2,4").
@@ -82,44 +84,9 @@ pub fn full_scale() -> bool {
     std::env::var("MP_BENCH_FULL").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Runs `$body` once per SMR scheme (the §6 comparison set: MP, IBR, HE,
-/// HP, EBR), binding `$scheme_ty`/`$name`/a freshly computed [`BenchResult`]
-/// for the data-structure family `$ds` (a generic type constructor such as
-/// `LinkedList`). DTA is list-specific and handled separately (Figure 4).
-#[macro_export]
-macro_rules! for_each_scheme {
-    ($ds:ident, $p:expr, $runs:expr, |$name:ident, $res:ident| $body:block) => {{
-        {
-            let $name = "MP";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::Mp, $ds<mp_smr::schemes::Mp>>($p, $runs);
-            $body
-        }
-        {
-            let $name = "IBR";
-            let $res = $crate::driver::run_avg::<mp_smr::schemes::Ibr, $ds<mp_smr::schemes::Ibr>>(
-                $p, $runs,
-            );
-            $body
-        }
-        {
-            let $name = "HE";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::He, $ds<mp_smr::schemes::He>>($p, $runs);
-            $body
-        }
-        {
-            let $name = "HP";
-            let $res =
-                $crate::driver::run_avg::<mp_smr::schemes::Hp, $ds<mp_smr::schemes::Hp>>($p, $runs);
-            $body
-        }
-        {
-            let $name = "EBR";
-            let $res = $crate::driver::run_avg::<mp_smr::schemes::Ebr, $ds<mp_smr::schemes::Ebr>>(
-                $p, $runs,
-            );
-            $body
-        }
-    }};
-}
+/// The §6 comparison set (MP, IBR, HE, HP, EBR), in the order every
+/// figure bench reports it. Benches loop over it and monomorphize each
+/// point with `with_scheme!(kind, S => driver::run_avg::<S, Ds<S>>(..))`.
+/// DTA is list-specific and handled separately (Figure 4).
+pub const COMPARISON: [SchemeKind; 5] =
+    [SchemeKind::Mp, SchemeKind::Ibr, SchemeKind::He, SchemeKind::Hp, SchemeKind::Ebr];

@@ -19,7 +19,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mp_ds::ConcurrentSet;
-use mp_smr::{AnySmr, Config, SchemeKind, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
+use mp_smr::{Config, Smr, SmrHandle, Telemetry, TelemetrySnapshot};
 use mp_util::hist::Histogram;
 
 use crate::workload::{thread_rng, KeyDist, KeySampler, Mix, Op};
@@ -144,26 +144,8 @@ pub fn rss_kb() -> u64 {
 
 /// Runs one soak point of scheme `S` on structure `D`.
 pub fn run_soak<S: Smr, D: ConcurrentSet<S>>(p: &SoakParams) -> SoakResult {
-    run_soak_with::<S, D>(p, |cfg| S::new(cfg))
-}
-
-/// Runs one soak point of the runtime-selected `kind` on structure `D` —
-/// the [`AnySmr`] facade path the soak bench drives, so one
-/// monomorphization covers the whole scheme sweep.
-pub fn run_soak_kind<D: ConcurrentSet<AnySmr>>(kind: SchemeKind, p: &SoakParams) -> SoakResult {
-    run_soak_with::<AnySmr, D>(p, |cfg| {
-        AnySmr::try_with_kind(kind, cfg).expect("valid soak config")
-    })
-}
-
-/// [`run_soak`] with an explicit scheme constructor (the facade entry
-/// point injects the selected kind through `make`).
-fn run_soak_with<S: Smr, D: ConcurrentSet<S>>(
-    p: &SoakParams,
-    make: impl FnOnce(Config) -> Arc<S>,
-) -> SoakResult {
     p.mix.check();
-    let smr = make(p.config.clone());
+    let smr = S::new(p.config.clone());
     let ds = Arc::new(D::new(&smr));
     let key_range = (2 * p.prefill.max(1)) as u64;
     let sampler = KeySampler::new(p.dist, key_range);
@@ -339,7 +321,7 @@ fn run_soak_with<S: Smr, D: ConcurrentSet<S>>(
 mod tests {
     use super::*;
     use mp_ds::HashMap;
-    use mp_smr::schemes::Hp;
+    use mp_smr::schemes::{Ebr, Hp};
 
     #[test]
     fn soak_smoke_produces_quantiles_and_churns() {
@@ -360,15 +342,14 @@ mod tests {
     }
 
     #[test]
-    fn stalled_reader_engages_backpressure_through_the_facade() {
+    fn stalled_reader_engages_backpressure() {
         // One pinned reader under EBR pins every later retiree; a tiny cap
-        // guarantees the ladder engages within the smoke window. The kind
-        // goes through `run_soak_kind`, the facade path the bench drives.
+        // guarantees the ladder engages within the smoke window.
         let mut p =
             SoakParams::new(4, 128, Duration::from_millis(150)).with_stalled_readers(1);
         p.churn_every = 0; // keep the run simple: survival is the point
         p.config = p.config.with_backpressure_bytes(16 << 10);
-        let r = run_soak_kind::<HashMap<AnySmr>>(SchemeKind::Ebr, &p);
+        let r = run_soak::<Ebr, HashMap<Ebr>>(&p);
         assert!(r.total_ops > 0, "writers must stay live under backpressure: {r:?}");
         assert!(
             r.bp_help_engagements + r.bp_throttle_engagements >= 1,

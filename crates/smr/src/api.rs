@@ -496,23 +496,6 @@ pub trait SmrHandle: Send + Telemetry + 'static {
         self.tele().stats()
     }
 
-    /// Mutable counters.
-    ///
-    /// Deprecated: raw field pokes bypass event tracing and saturation.
-    /// Use the typed recorders on [`Telemetry`] instead —
-    /// [`record_node_traversed`](Telemetry::record_node_traversed) for
-    /// Figure 5's denominator,
-    /// [`reset_telemetry`](Telemetry::reset_telemetry) to zero a
-    /// measurement window.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use the typed Telemetry recorders (record_node_traversed, \
-                reset_telemetry, …) instead of poking OpStats fields"
-    )]
-    fn stats_mut(&mut self) -> &mut OpStats {
-        self.tele_mut().stats_raw_mut()
-    }
-
     /// Current length of this handle's retired list (wasted memory held by
     /// this thread).
     fn retired_len(&self) -> usize;

@@ -28,7 +28,6 @@
 
 use std::sync::Arc;
 
-use crate::any::{AnySmr, SchemeKind};
 use crate::api::{Config, IndexPolicy, Smr};
 use crate::error::SmrError;
 use crate::telemetry;
@@ -36,13 +35,11 @@ use crate::telemetry;
 /// Fluent builder unifying [`Config`], the telemetry arming switch, and
 /// the node-pool toggle. Construct with [`SmrBuilder::new`] (paper §6
 /// defaults) or [`SmrBuilder::from_config`], chain setters, finish with
-/// [`try_build`](SmrBuilder::try_build) for a statically chosen scheme or
-/// [`try_build_any`](SmrBuilder::try_build_any) for one selected at
-/// runtime via [`scheme`](SmrBuilder::scheme) / `MP_SCHEME`.
+/// [`try_build`](SmrBuilder::try_build). A scheme selected at runtime is
+/// built with `with_scheme!(kind, S => builder.try_build::<S>())`.
 #[derive(Debug, Clone, Default)]
 pub struct SmrBuilder {
     cfg: Config,
-    kind: Option<SchemeKind>,
     telemetry: Option<bool>,
     event_capacity: Option<usize>,
     pool: Option<bool>,
@@ -155,13 +152,6 @@ impl SmrBuilder {
         self
     }
 
-    /// Selects the scheme [`try_build_any`](SmrBuilder::try_build_any)
-    /// constructs, overriding the `MP_SCHEME` environment variable.
-    pub fn scheme(mut self, kind: SchemeKind) -> Self {
-        self.kind = Some(kind);
-        self
-    }
-
     /// Arms (or disarms) timed/traced telemetry process-wide before
     /// construction, overriding `MP_TELEMETRY`. Handles registered from
     /// the built scheme then carry event rings and record latencies.
@@ -203,16 +193,6 @@ impl SmrBuilder {
             Ok(smr) => smr,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// Constructs the scheme selected at runtime behind the [`AnySmr`]
-    /// facade: the kind set via [`scheme`](SmrBuilder::scheme) if any,
-    /// else the `MP_SCHEME` environment variable, else MP.
-    pub fn try_build_any(self) -> Result<Arc<AnySmr>, SmrError> {
-        let kind =
-            self.kind.or_else(SchemeKind::from_env).unwrap_or(SchemeKind::Mp);
-        self.apply_globals();
-        AnySmr::try_with_kind(kind, self.cfg)
     }
 
     fn apply_globals(&self) {
@@ -290,14 +270,16 @@ mod tests {
     }
 
     #[test]
-    fn explicit_scheme_kind_wins_for_build_any() {
-        let smr = SmrBuilder::new()
-            .max_threads(2)
-            .scheme(crate::any::SchemeKind::He)
-            .try_build_any()
-            .unwrap();
-        assert_eq!(smr.scheme_name(), "HE");
-        let _h = smr.try_register().unwrap();
+    fn runtime_selected_kind_builds_through_with_scheme() {
+        let b = SmrBuilder::new().max_threads(2);
+        for kind in crate::SchemeKind::ALL {
+            let name = crate::with_scheme!(kind, S => {
+                let smr = b.clone().try_build::<S>().unwrap();
+                let _h = smr.try_register().unwrap();
+                S::name()
+            });
+            assert_eq!(name, kind.name());
+        }
     }
 
     #[test]

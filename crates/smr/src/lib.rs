@@ -25,7 +25,8 @@
 //! optional `update_lower_bound` / `update_upper_bound` extension. Client
 //! data structures are generic over `S: Smr`, so any scheme plugs into any
 //! structure unchanged — MP degrades to plain HP when the extension calls
-//! are omitted.
+//! are omitted. A scheme chosen at runtime ([`SchemeKind`]) is dispatched
+//! once with [`with_scheme!`], which runs the same monomorphized code.
 //!
 //! ```
 //! use mp_smr::{Config, Smr, SmrHandle, schemes::Mp};
@@ -42,13 +43,13 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod any;
 pub mod api;
 pub mod backpressure;
 pub mod builder;
 pub mod error;
 #[cfg(feature = "hb-oracle")]
 pub mod hb;
+pub mod kind;
 pub mod node;
 #[cfg(feature = "oracle")]
 pub mod oracle;
@@ -58,11 +59,11 @@ pub mod schemes;
 pub mod stats;
 pub mod telemetry;
 
-pub use any::{AnyHandle, AnySmr, SchemeKind};
 pub use api::{Config, ConfigError, IndexPolicy, OpGuard, Smr, SmrHandle};
 pub use backpressure::{BackpressurePolicy, BackpressureState, BpLevel};
 pub use builder::SmrBuilder;
 pub use error::{BackpressureError, SmrError};
+pub use kind::SchemeKind;
 pub use node::{gauge, SmrNode};
 pub use packed::{Atomic, Shared};
 pub use stats::{FenceSite, OpStats};

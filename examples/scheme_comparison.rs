@@ -2,9 +2,9 @@
 //!
 //! Runs the paper's read-dominated workload on the NM tree under every
 //! scheme and prints throughput, fences per traversed node, and wasted
-//! memory — a miniature of the paper's evaluation (§6). The schemes are
-//! selected at runtime through the [`AnySmr`] facade, so the whole table
-//! is one monomorphization; set `MP_SCHEME=<name>` to run a single row:
+//! memory — a miniature of the paper's evaluation (§6). Each row is
+//! dispatched once with `with_scheme!` and runs that scheme's own
+//! monomorphized code; set `MP_SCHEME=<name>` to run a single row:
 //!
 //! ```sh
 //! cargo run --release --example scheme_comparison
@@ -17,22 +17,21 @@ use std::time::{Duration, Instant};
 
 use margin_pointers::ds::{skiplist, ConcurrentSet, NmTree};
 use margin_pointers::smr::{
-    AnySmr, SchemeKind, Smr, SmrBuilder, Telemetry, TelemetrySnapshot,
+    with_scheme, SchemeKind, Smr, SmrBuilder, Telemetry, TelemetrySnapshot,
 };
 
 const THREADS: usize = 4;
 const PREFILL: u64 = 20_000;
 const RUN: Duration = Duration::from_millis(400);
 
-fn bench(kind: SchemeKind) -> (f64, usize, TelemetrySnapshot) {
-    let smr: Arc<AnySmr> = SmrBuilder::new()
+fn bench<S: Smr>() -> (f64, usize, TelemetrySnapshot) {
+    let smr: Arc<S> = SmrBuilder::new()
         .max_threads(THREADS + 1)
         .slots_per_thread(skiplist::SLOTS_NEEDED)
         .margin(1 << 27) // margin sized for PREFILL's index density
-        .scheme(kind)
-        .try_build_any()
+        .try_build()
         .expect("valid config");
-    let set: Arc<NmTree<AnySmr>> = Arc::new(NmTree::new(&smr));
+    let set: Arc<NmTree<S>> = Arc::new(NmTree::new(&smr));
     {
         // Uniform random prefill (§6): the NM tree is unbalanced, so random
         // insertion order is what keeps depth logarithmic.
@@ -99,10 +98,13 @@ fn bench(kind: SchemeKind) -> (f64, usize, TelemetrySnapshot) {
 
 fn main() {
     // DTA is excluded from the sweep: without its list-specific freezer it
-    // degenerates to EBR and the row would mislead.
-    let kinds: Vec<SchemeKind> = match SchemeKind::from_env() {
-        Some(k) => vec![k],
-        None => SchemeKind::ALL.into_iter().filter(|k| *k != SchemeKind::Dta).collect(),
+    // degenerates to EBR and the row would mislead. A typo in MP_SCHEME
+    // fails at startup rather than silently running the wrong scheme.
+    let kinds: Vec<SchemeKind> = match std::env::var("MP_SCHEME") {
+        Ok(name) if !name.trim().is_empty() => {
+            vec![name.trim().parse().unwrap_or_else(|e| panic!("MP_SCHEME: {e}"))]
+        }
+        _ => SchemeKind::ALL.into_iter().filter(|k| *k != SchemeKind::Dta).collect(),
     };
     println!(
         "NM tree, read-dominated, {THREADS} threads, S={PREFILL} \
@@ -113,7 +115,7 @@ fn main() {
         "scheme", "Mops/s", "fences/node", "peak wasted", "pool-hit", "allocs/op", "scan-allocs"
     );
     for kind in kinds {
-        let (mops, peak, snap) = bench(kind);
+        let (mops, peak, snap) = with_scheme!(kind, S => bench::<S>());
         let name = kind.name();
         let fpn = snap.fences_per_node();
         println!(

@@ -40,6 +40,13 @@ cargo test -q --workspace --offline
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Benchmark stage: smrbench is a package of its own (not a workspace
+# member) built by path against mp-smr/mp-ds. Building it and running its
+# tests here makes a public-API change that breaks the benchmark fail the
+# gate instead of the next benchmark run.
+echo "==> cargo test -q --offline --manifest-path smrbench/Cargo.toml"
+cargo test -q --offline --manifest-path smrbench/Cargo.toml
+
 # Oracle stage: the same tests plus the conformance matrix, negative
 # oracle tests, and mp-smr's oracle unit tests, with shadow lifecycle
 # tracking, freed-memory poisoning, and the waste-bound monitor armed.
