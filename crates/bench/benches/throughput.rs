@@ -24,9 +24,6 @@ struct Point {
     structure: &'static str,
     threads: usize,
     pool: bool,
-    /// Scan trigger: `"watermark"` (adaptive, the default) or `"fixed"`
-    /// (the pre-watermark every-`empty_freq`-retires ablation).
-    cadence: &'static str,
     mops: f64,
     allocs_per_op: f64,
     pool_hit_rate: f64,
@@ -46,7 +43,6 @@ impl Point {
         structure: &'static str,
         threads: usize,
         pool: bool,
-        cadence: &'static str,
         r: &BenchResult,
     ) -> Self {
         Point {
@@ -54,7 +50,6 @@ impl Point {
             structure,
             threads,
             pool,
-            cadence,
             mops: r.mops,
             allocs_per_op: r.allocs_per_op,
             pool_hit_rate: r.pool_hit_rate,
@@ -69,7 +64,6 @@ impl Point {
     fn json(&self) -> String {
         format!(
             "{{\"scheme\": {}, \"structure\": {}, \"threads\": {}, \"pool\": {}, \
-             \"cadence\": {}, \
              \"mops\": {:.4}, \"allocs_per_op\": {:.5}, \"pool_hit_rate\": {:.4}, \
              \"fences_per_op\": {:.4}, \
              \"fences_start_op_per_op\": {:.4}, \"fences_end_op_per_op\": {:.4}, \
@@ -79,7 +73,6 @@ impl Point {
             json_str(self.structure),
             self.threads,
             if self.pool { "\"on\"" } else { "\"off\"" },
-            json_str(self.cadence),
             self.mops,
             self.allocs_per_op,
             self.pool_hit_rate,
@@ -124,7 +117,7 @@ fn main() {
                 for kind in COMPARISON {
                     let res = with_scheme!(kind, S => run_avg::<S, $ds<S>>(&p, runs));
                     points.push(Point::from(
-                        kind.name(), $label, threads, $pool_on, "watermark", &res,
+                        kind.name(), $label, threads, $pool_on, &res,
                     ));
                 }
             }
@@ -140,20 +133,6 @@ fn main() {
     }
     mp_util::pool::set_enabled(true);
 
-    // Fixed-cadence ablation: the list at the top thread count with the
-    // adaptive watermark disabled (scan every `empty_freq` retires, the
-    // pre-watermark behavior), so the committed trajectory carries the
-    // watermark-vs-fixed scan-cost comparison at the most contended point.
-    if let Some(&top) = sweep.iter().max() {
-        eprintln!("[throughput] fixed-cadence ablation at {top} threads");
-        let mut p = BenchParams::paper(top, 5_000, mp_bench::READ_DOMINATED);
-        p.config = p.config.with_fixed_cadence(true);
-        for kind in COMPARISON {
-            let res = with_scheme!(kind, S => run_avg::<S, LinkedList<S>>(&p, runs));
-            points.push(Point::from(kind.name(), "list", top, true, "fixed", &res));
-        }
-    }
-
     let mut table = Table::new(
         "Throughput trajectory: node pool off vs on (read-dominated)",
         &[
@@ -161,7 +140,6 @@ fn main() {
             "threads",
             "scheme",
             "pool",
-            "cadence",
             "Mops/s",
             "allocs/op",
             "pool-hit",
@@ -176,7 +154,6 @@ fn main() {
             pt.threads.to_string(),
             pt.scheme.to_string(),
             if pt.pool { "on" } else { "off" }.to_string(),
-            pt.cadence.to_string(),
             format!("{:.3}", pt.mops),
             format!("{:.4}", pt.allocs_per_op),
             format!("{:.3}", pt.pool_hit_rate),
@@ -195,7 +172,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": \"mp-bench/throughput/v3\",");
+    let _ = writeln!(json, "  \"schema\": \"mp-bench/throughput/v4\",");
     let _ = writeln!(
         json,
         "  \"config\": {{\"threads\": {:?}, \"duration_ms\": {}, \"runs\": {}, \"workload\": \"read-dominated\"}},",

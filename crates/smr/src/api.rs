@@ -59,18 +59,6 @@ pub struct Config {
     /// DTA: reclamation attempts tolerated before a non-advancing thread is
     /// declared stalled and its anchored segment is frozen.
     pub stall_patience: usize,
-    /// Ablation switch: disable the §6 snapshot optimization in `empty()`
-    /// (rescan the live slot arrays for every retired node, as the
-    /// unoptimized IBR-framework baselines did).
-    pub ablation_naive_scan: bool,
-    /// Ablation switch: fence after clearing each slot in `end_op` instead
-    /// of once after clearing them all (undoes the other §6 optimization).
-    pub ablation_per_slot_fence: bool,
-    /// Ablation switch: restore the pre-watermark fixed scan cadence (one
-    /// `empty()` every `empty_freq` retires, regardless of how much the
-    /// previous scan reclaimed). Baseline for the scan-cost-per-free
-    /// comparison in `BENCH_throughput.json`.
-    pub ablation_fixed_cadence: bool,
     /// Backpressure hard cap in retired payload bytes (0 = disabled).
     /// When the scheme's retired-bytes gauge reaches half this figure,
     /// retiring threads escalate onto the help-scan rung (adopt orphans,
@@ -109,9 +97,6 @@ impl Default for Config {
             max_index: u32::MAX - 1,
             anchor_hops: 100,
             stall_patience: 8,
-            ablation_naive_scan: false,
-            ablation_per_slot_fence: false,
-            ablation_fixed_cadence: false,
             backpressure_bytes: 0,
             index_policy: IndexPolicy::Midpoint,
         }
@@ -259,25 +244,6 @@ impl Config {
         self
     }
 
-    /// Disables the snapshot optimization in reclamation scans (ablation).
-    pub fn with_naive_scan(mut self, on: bool) -> Self {
-        self.ablation_naive_scan = on;
-        self
-    }
-
-    /// Fences per cleared slot in `end_op` (ablation).
-    pub fn with_per_slot_fence(mut self, on: bool) -> Self {
-        self.ablation_per_slot_fence = on;
-        self
-    }
-
-    /// Restores the fixed `empty_freq` scan cadence (ablation baseline for
-    /// the adaptive watermark trigger).
-    pub fn with_fixed_cadence(mut self, on: bool) -> Self {
-        self.ablation_fixed_cadence = on;
-        self
-    }
-
     /// Sets the backpressure hard cap in retired payload bytes
     /// (`0` = ladder disabled unless `MP_BP_BYTES` supplies a cap).
     pub fn with_backpressure_bytes(mut self, n: usize) -> Self {
@@ -309,8 +275,9 @@ pub trait Smr: Send + Sync + Sized + 'static {
 
     /// Constructs the scheme with the given configuration.
     ///
-    /// Panicking shim over [`try_new`](Smr::try_new), kept for one release;
-    /// new code should prefer the fallible constructor.
+    /// The panicking convenience over [`try_new`](Smr::try_new): panics
+    /// with the [`SmrError`] message on an invalid configuration. Use
+    /// `try_new` where that error must be handled.
     fn new(cfg: Config) -> Arc<Self> {
         match Self::try_new(cfg) {
             Ok(smr) => smr,
@@ -321,8 +288,9 @@ pub trait Smr: Send + Sync + Sized + 'static {
     /// Registers the calling context as a participating thread and returns
     /// its handle. Panics if `Config::max_threads` handles are already live.
     ///
-    /// Panicking shim over [`try_register`](Smr::try_register), kept for
-    /// one release; new code should prefer the fallible constructor.
+    /// The panicking convenience over [`try_register`](Smr::try_register);
+    /// use `try_register` where registry exhaustion must be recovered from
+    /// (retry after a peer drops its handle).
     fn register(self: &Arc<Self>) -> Self::Handle {
         match self.try_register() {
             Ok(h) => h,
@@ -467,7 +435,9 @@ pub trait SmrHandle: Send + Telemetry + 'static {
     /// [`update_upper_bound`]: SmrHandle::update_upper_bound
     /// [`OpStats::pool_hits`]: crate::stats::OpStats::pool_hits
     /// [`OpStats::pool_misses`]: crate::stats::OpStats::pool_misses
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T>;
+    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
+        self.alloc_with_index(data, 0)
+    }
 
     /// Allocates a node with an explicit index — for sentinel nodes whose
     /// position in the key space is fixed (paper §5.1 step 3).
@@ -572,7 +542,6 @@ mod tests {
         assert_eq!(c.scan_watermark, 0, "watermark auto-derives k·H by default");
         assert_eq!(c.scan_watermark_bytes, 0, "bytes trigger off by default");
         assert_eq!(c.backpressure_bytes, 0, "backpressure ladder off by default");
-        assert!(!c.ablation_fixed_cadence);
     }
 
     #[test]
@@ -594,8 +563,7 @@ mod tests {
             .with_stall_patience(2)
             .with_scan_watermark(128)
             .with_scan_watermark_bytes(1 << 20)
-            .with_backpressure_bytes(1 << 22)
-            .with_fixed_cadence(true);
+            .with_backpressure_bytes(1 << 22);
         assert_eq!(c.max_threads, 4);
         assert_eq!(c.slots_per_thread, 3);
         assert_eq!(c.empty_freq, 10);
@@ -607,7 +575,6 @@ mod tests {
         assert_eq!(c.scan_watermark, 128);
         assert_eq!(c.scan_watermark_bytes, 1 << 20);
         assert_eq!(c.backpressure_bytes, 1 << 22);
-        assert!(c.ablation_fixed_cadence);
     }
 
     #[test]

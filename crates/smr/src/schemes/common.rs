@@ -1,13 +1,19 @@
 //! Shared building blocks for scheme implementations.
 
+use std::time::Instant;
+
 use core::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
 
 use mp_util::CachePadded;
 
 use crate::api::Config;
+use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::error::SmrError;
 use crate::node::Retired;
+use crate::packed::Shared;
+use crate::registry::Registry;
 use crate::stats::FenceSite;
-use crate::telemetry::HandleTelemetry;
+use crate::telemetry::{HandleTelemetry, SchemeTelemetry};
 
 /// Sentinel announced-epoch value meaning "thread not inside an operation".
 pub const INACTIVE: u64 = u64::MAX;
@@ -94,9 +100,6 @@ pub struct ScanPolicy {
     /// Minimum additional retires between consecutive scans when the
     /// retired list is not shrinking (`Config::empty_freq`).
     pub rearm_floor: usize,
-    /// `Some(empty_freq)` under `ablation_fixed_cadence`: scan every
-    /// `empty_freq` retires exactly as the pre-watermark design did.
-    pub fixed_cadence: Option<usize>,
 }
 
 impl ScanPolicy {
@@ -125,7 +128,6 @@ impl ScanPolicy {
             watermark_nodes: nodes.max(1),
             watermark_bytes: bytes,
             rearm_floor: cfg.empty_freq.max(1),
-            fixed_cadence: cfg.ablation_fixed_cadence.then(|| cfg.empty_freq.max(1)),
         }
     }
 }
@@ -155,15 +157,14 @@ impl ScanState {
         }
     }
 
-    /// Initial state for a handle that seeds its retired list with an
-    /// adopted backlog (orphans parked by churned-out peers): the bytes
-    /// trigger accounts the adopted payload up front instead of only
-    /// discovering it at the first rearm. The node-count trigger needs no
-    /// seeding — [`ScanState::due`] reads the retired list length directly.
-    pub fn with_backlog(policy: &ScanPolicy, backlog: &[Retired]) -> Self {
-        let mut s = ScanState::new(policy);
-        s.retired_bytes = backlog.iter().map(|r| r.bytes() as usize).sum();
-        s
+    /// Accounts an adopted backlog (orphans parked by churned-out peers):
+    /// the bytes trigger counts the adopted payload up front instead of
+    /// only discovering it at the next rearm. The node-count trigger needs
+    /// no seeding — [`ScanState::due`] reads the retired list length
+    /// directly.
+    pub fn note_adopted(&mut self, backlog: &[Retired]) {
+        let bytes: usize = backlog.iter().map(|r| r.bytes() as usize).sum();
+        self.retired_bytes = self.retired_bytes.saturating_add(bytes);
     }
 
     /// Accounts one retired node of `bytes` payload.
@@ -181,10 +182,7 @@ impl ScanState {
 
     /// True when a reclamation scan is due.
     #[inline]
-    pub fn due(&self, policy: &ScanPolicy, retired_len: usize) -> bool {
-        if let Some(freq) = policy.fixed_cadence {
-            return self.retires.is_multiple_of(freq);
-        }
+    pub fn due(&self, retired_len: usize) -> bool {
         retired_len >= self.next_len || self.retired_bytes >= self.next_bytes
     }
 
@@ -201,6 +199,281 @@ impl ScanState {
         } else {
             policy.watermark_bytes.max(kept_bytes + policy.watermark_bytes / 4 + 1)
         };
+    }
+}
+
+/// Scheme-wide state every scheme shares: the configuration, the tid
+/// registry with its orphan list, the resolved scan and backpressure
+/// policies, and the scheme telemetry (pending-waste gauge included).
+pub(crate) struct SchemeCore {
+    pub cfg: Config,
+    pub registry: Registry,
+    pub scan_policy: ScanPolicy,
+    pub bp_policy: BackpressurePolicy,
+    pub tele: SchemeTelemetry,
+}
+
+impl SchemeCore {
+    /// Validates `cfg` and resolves both policies from it (each scheme's
+    /// `try_new`).
+    pub fn new(cfg: Config) -> Result<Self, SmrError> {
+        cfg.validate()?;
+        Ok(SchemeCore {
+            registry: Registry::new(cfg.max_threads),
+            scan_policy: ScanPolicy::from_config(&cfg),
+            bp_policy: BackpressurePolicy::from_config(&cfg),
+            tele: SchemeTelemetry::new(),
+            cfg,
+        })
+    }
+}
+
+impl Drop for SchemeCore {
+    fn drop(&mut self) {
+        // SAFETY: [INV-06] teardown: the core lives inside its scheme and
+        // every handle holds an `Arc` to that scheme, so dropping the core
+        // proves no handle exists and orphaned retired lists (DTA's frozen
+        // nodes included) can no longer be protected by anyone.
+        unsafe { self.registry.reclaim_orphans() };
+    }
+}
+
+/// Timing and buffer-capacity baseline of one scan, from
+/// [`RetiredList::begin_scan`] to [`RetiredList::sweep`].
+#[must_use]
+pub(crate) struct ScanTicket {
+    t0: Instant,
+    caps_before: usize,
+}
+
+/// A handle's retire-and-scan state: its leased tid, the cache-padded
+/// retired list (no false sharing between handles), the retained swap
+/// buffer that keeps steady-state scans allocation-free, the scan trigger
+/// and the in-op backpressure rung (monotone within one op; reset by
+/// [`RetiredList::start_op`]).
+///
+/// A scan is `begin_scan` (fence), the scheme's own snapshot of its
+/// announcements, then `sweep` with the scheme's keep predicate — the only
+/// step in which the schemes differ.
+pub(crate) struct RetiredList {
+    tid: usize,
+    list: CachePadded<Vec<Retired>>,
+    scan_scratch: Vec<Retired>,
+    scan: ScanState,
+    bp_rung: BpLevel,
+    /// Whether this handle adopts parked orphans (at registration and on
+    /// help-scans). DTA's orphan list doubles as its frozen-node park and
+    /// Leaky never frees, so neither adopts.
+    adopts: bool,
+}
+
+impl RetiredList {
+    /// Leases a tid from the registry and, when `adopts`, takes over the
+    /// orphans churned-out peers left behind so this handle frees them at
+    /// its next scan instead of letting them pile up until teardown.
+    pub fn register(
+        core: &SchemeCore,
+        adopts: bool,
+    ) -> Result<(RetiredList, HandleTelemetry), SmrError> {
+        let lease = core
+            .registry
+            .try_acquire()
+            .ok_or(SmrError::RegistryExhausted { max_threads: core.cfg.max_threads })?;
+        let mut tele = HandleTelemetry::new(lease.tid);
+        if lease.recycled {
+            tele.record_tid_recycle();
+        }
+        let mut list = RetiredList {
+            tid: lease.tid,
+            list: CachePadded::new(Vec::new()),
+            scan_scratch: Vec::new(),
+            scan: ScanState::new(&core.scan_policy),
+            bp_rung: BpLevel::Normal,
+            adopts,
+        };
+        list.adopt_orphans(core);
+        Ok((list, tele))
+    }
+
+    /// The leased thread id.
+    #[inline]
+    pub fn tid(&self) -> usize {
+        self.tid
+    }
+
+    /// Retired nodes this handle still holds.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// Retires accounted so far (epoch-advance cadences key off it).
+    #[inline]
+    pub fn retires(&self) -> usize {
+        self.scan.retires()
+    }
+
+    /// Appends the registry's orphans (no-op unless this handle adopts),
+    /// seeding the bytes trigger with their payload. Orphans are already
+    /// retired, so the pending gauge counts them already.
+    fn adopt_orphans(&mut self, core: &SchemeCore) {
+        if !self.adopts {
+            return;
+        }
+        let orphans = core.registry.adopt_orphans();
+        self.scan.note_adopted(&orphans);
+        if self.list.capacity() == 0 {
+            *self.list = orphans;
+        } else {
+            self.list.extend(orphans);
+        }
+    }
+
+    /// Operation-start bookkeeping: resets the in-op backpressure rung and
+    /// samples the backlog for the retired-at-op-start statistic.
+    #[inline]
+    pub fn start_op(&mut self, tele: &mut HandleTelemetry) {
+        self.bp_rung = BpLevel::Normal;
+        tele.record_op_start(self.list.len());
+    }
+
+    /// Allocates a node stamped with `birth`, after the backpressure
+    /// throttle step (one bounded wait while the ladder is on the throttle
+    /// rung).
+    #[inline]
+    pub fn alloc<T: Send + Sync>(
+        &mut self,
+        core: &SchemeCore,
+        tele: &mut HandleTelemetry,
+        data: T,
+        index: u32,
+        birth: u64,
+    ) -> Shared<T> {
+        backpressure::before_alloc(
+            &core.bp_policy,
+            core.tele.backpressure(),
+            &mut self.bp_rung,
+            tele,
+        );
+        tele.record_alloc();
+        let ptr = crate::node::alloc_node_in(data, index, birth, tele);
+        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
+        unsafe { Shared::from_owned(ptr) }
+    }
+
+    /// Buffers one retired node and accounts it in the scheme gauge and
+    /// the scan trigger. Returns `true` when a scan is due.
+    #[inline]
+    pub fn push(&mut self, core: &SchemeCore, tele: &mut HandleTelemetry, r: Retired) -> bool {
+        tele.record_retire(r.addr());
+        core.tele.pending.add(1, r.bytes() as usize);
+        self.scan.note_retire(r.bytes());
+        self.list.push(r);
+        self.scan.due(self.list.len())
+    }
+
+    /// The backpressure step that follows every retire (and its scan):
+    /// re-assesses the ladder against the scheme's retired bytes. Returns
+    /// `true` when this handle must help — the caller then runs
+    /// [`RetiredList::begin_help`] and a scan against live announcements.
+    #[inline]
+    pub fn assess_pressure(&mut self, core: &SchemeCore, tele: &mut HandleTelemetry) -> bool {
+        backpressure::after_retire(
+            &core.bp_policy,
+            core.tele.backpressure(),
+            core.tele.pending_bytes(),
+            &mut self.bp_rung,
+            tele,
+        )
+    }
+
+    /// Help-scan prelude (see [`crate::backpressure`]): counts the help and
+    /// adopts parked orphans so the scan that follows frees them too. The
+    /// scan's rearm re-baselines the trigger over the adopted backlog.
+    pub fn begin_help(&mut self, core: &SchemeCore, tele: &mut HandleTelemetry) {
+        tele.record_help_scan();
+        self.adopt_orphans(core);
+    }
+
+    /// Combined capacity of the list and its swap buffer.
+    fn caps(&self) -> usize {
+        self.list.capacity() + self.scan_scratch.capacity()
+    }
+
+    /// Opens a scan: counts it, starts its timer and issues the SeqCst
+    /// fence that orders every retirement about to be judged before the
+    /// announcements the scheme snapshots next. `snapshot_caps` is the
+    /// capacity of the scheme's snapshot buffers, so a scan that grows
+    /// them still counts as touching the heap.
+    pub fn begin_scan(&self, tele: &mut HandleTelemetry, snapshot_caps: usize) -> ScanTicket {
+        tele.record_empty();
+        let t0 = Instant::now();
+        let caps_before = self.caps() + snapshot_caps;
+        fence(Ordering::SeqCst);
+        #[cfg(feature = "hb-oracle")]
+        crate::hb::on_fence_sc();
+        ScanTicket { t0, caps_before }
+    }
+
+    /// Closes a scan: reclaims every retired node `keep` rejects and keeps
+    /// the rest, swapping the list through the retained scratch (no
+    /// allocation in steady state), then settles the gauge, re-arms the
+    /// trigger and records heap growth and scan time. `snapshot_caps` is
+    /// the snapshot buffers' capacity after the snapshot was taken.
+    ///
+    /// # Safety
+    /// `keep` must return `true` for every node any thread may still
+    /// reference, judged from announcements read after `ticket`'s fence.
+    // SAFETY: [INV-11] obligation stated in `# Safety` above; each scheme's
+    // `empty` argues its keep predicate ([INV-05]) at the call site.
+    pub unsafe fn sweep(
+        &mut self,
+        core: &SchemeCore,
+        tele: &mut HandleTelemetry,
+        ticket: ScanTicket,
+        snapshot_caps: usize,
+        mut keep: impl FnMut(&Retired) -> bool,
+    ) {
+        // Swap through the scratch: `pending` (last scan's scratch) becomes
+        // the drain source, the emptied list collects the keepers, and the
+        // drained Vec is retained for next time. `mem::take` leaves a
+        // capacity-0 Vec, so no allocation.
+        let mut pending = std::mem::take(&mut self.scan_scratch);
+        debug_assert!(pending.is_empty());
+        std::mem::swap(&mut pending, &mut *self.list);
+        let before = pending.len();
+        let mut kept_bytes = 0usize;
+        let mut freed_bytes = 0usize;
+        for r in pending.drain(..) {
+            if keep(&r) {
+                kept_bytes += r.bytes() as usize;
+                self.list.push(r);
+            } else {
+                tele.record_free(r.addr());
+                freed_bytes += r.bytes() as usize;
+                // SAFETY: [INV-05] forwarded from this fn's contract: the
+                // node is retired (unreachable) and the scheme's keep
+                // predicate found no announcement that may still protect it.
+                unsafe { r.reclaim() };
+            }
+        }
+        self.scan_scratch = pending;
+        let freed = before - self.list.len();
+        core.tele.pending.sub(freed, freed_bytes);
+        self.scan.rearm(&core.scan_policy, self.list.len(), kept_bytes);
+        if self.caps() + snapshot_caps > ticket.caps_before {
+            tele.record_scan_heap_alloc();
+        }
+        tele.record_scan_elapsed(ticket.t0);
+    }
+
+    /// Handle teardown, after the scheme withdrew its announcements and ran
+    /// its drain scan: parks the leftovers as orphans, returns the tid and
+    /// hands this thread's cached pool blocks to the global shard so a
+    /// short-lived worker doesn't strand recycled memory.
+    pub fn deregister(&mut self, core: &SchemeCore) {
+        core.registry.release(self.tid, std::mem::take(&mut *self.list));
+        mp_util::pool::flush();
     }
 }
 
@@ -438,6 +711,8 @@ impl EpochClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packed::Atomic;
+    use crate::{Smr, SmrHandle};
 
     #[test]
     fn clock_monotone() {
@@ -463,16 +738,13 @@ mod tests {
         let p = ScanPolicy::from_config(&cfg);
         assert_eq!(p.watermark_nodes, 2 * 4 * 8, "k·H with k = 2");
         assert_eq!(p.rearm_floor, cfg.empty_freq);
-        assert!(p.fixed_cadence.is_none());
 
         // Explicit knob wins over the auto rule; empty_freq floors the auto
         // rule when it exceeds k·H.
         let p = ScanPolicy::from_config(&cfg.clone().with_scan_watermark(7));
         assert_eq!(p.watermark_nodes, 7);
-        let p = ScanPolicy::from_config(&cfg.clone().with_empty_freq(1000));
+        let p = ScanPolicy::from_config(&cfg.with_empty_freq(1000));
         assert_eq!(p.watermark_nodes, 1000);
-        let p = ScanPolicy::from_config(&cfg.with_fixed_cadence(true));
-        assert_eq!(p.fixed_cadence, Some(30));
     }
 
     #[test]
@@ -482,24 +754,24 @@ mod tests {
         let mut s = ScanState::new(&p);
         for len in 1..30 {
             s.note_retire(64);
-            assert!(!s.due(&p, len), "below watermark at len {len}");
+            assert!(!s.due(len), "below watermark at len {len}");
         }
         s.note_retire(64);
-        assert!(s.due(&p, 30), "watermark reached");
+        assert!(s.due(30), "watermark reached");
         // Scan kept everything (stalled reader): next scan waits a full
         // rearm_floor of retires, not one.
         s.rearm(&p, 30, 30 * 64);
-        assert!(!s.due(&p, 30));
+        assert!(!s.due(30));
         for len in 31..60 {
             s.note_retire(64);
-            assert!(!s.due(&p, len), "inside rearm window at len {len}");
+            assert!(!s.due(len), "inside rearm window at len {len}");
         }
         s.note_retire(64);
-        assert!(s.due(&p, 60), "rearm floor elapsed");
+        assert!(s.due(60), "rearm floor elapsed");
         // Scan freed everything: back to the plain watermark.
         s.rearm(&p, 0, 0);
-        assert!(!s.due(&p, 29));
-        assert!(s.due(&p, 30));
+        assert!(!s.due(29));
+        assert!(s.due(30));
     }
 
     #[test]
@@ -513,9 +785,9 @@ mod tests {
         for _ in 0..3 {
             s.note_retire(512); // large payloads
         }
-        assert!(s.due(&p, 3), "1.5 KiB retired ≥ 1 KiB bytes watermark");
+        assert!(s.due(3), "1.5 KiB retired ≥ 1 KiB bytes watermark");
         s.rearm(&p, 0, 0);
-        assert!(!s.due(&p, 3));
+        assert!(!s.due(3));
     }
 
     #[test]
@@ -530,10 +802,11 @@ mod tests {
         let backlog = vec![unsafe { Retired::new(node, 1) }];
         // A handle adopting a large-byte orphan backlog must see the bytes
         // watermark immediately, not only after its first rearm.
-        let s = ScanState::with_backlog(&p, &backlog);
-        assert!(s.due(&p, backlog.len()), "adopted bytes reach the watermark");
+        let mut s = ScanState::new(&p);
+        s.note_adopted(&backlog);
+        assert!(s.due(backlog.len()), "adopted bytes reach the watermark");
         assert!(
-            !ScanState::new(&p).due(&p, backlog.len()),
+            !ScanState::new(&p).due(backlog.len()),
             "unseeded state under-counts the same backlog"
         );
         for r in backlog {
@@ -542,19 +815,95 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fixed_cadence_matches_the_legacy_trigger() {
-        let cfg = Config::default().with_empty_freq(5).with_fixed_cadence(true);
-        let p = ScanPolicy::from_config(&cfg);
-        let mut s = ScanState::new(&p);
-        let mut scans = 0;
-        for _ in 0..25 {
-            s.note_retire(64);
-            if s.due(&p, usize::MAX) {
-                scans += 1;
+    /// Test access to each scheme's shared core.
+    trait HasCore: Smr {
+        fn core(&self) -> &SchemeCore;
+    }
+
+    macro_rules! has_core {
+        ($($s:ty),*) => {$(
+            impl HasCore for $s {
+                fn core(&self) -> &SchemeCore {
+                    &self.core
+                }
             }
+        )*};
+    }
+    has_core!(
+        crate::schemes::Mp,
+        crate::schemes::Hp,
+        crate::schemes::Ebr,
+        crate::schemes::He,
+        crate::schemes::Ibr,
+        crate::schemes::Dta,
+        crate::schemes::Leaky
+    );
+
+    /// Asserts the pending gauge equals the parked orphans plus every live
+    /// handle's retired list, in nodes and (every node being `node_bytes`
+    /// wide) in bytes.
+    fn assert_gauge_exact<S: HasCore>(smr: &S, live: &[&S::Handle], node_bytes: usize, step: &str) {
+        let held = smr.core().registry.orphan_count()
+            + live.iter().map(|h| h.retired_len()).sum::<usize>();
+        let tele = smr.telemetry();
+        assert_eq!(tele.pending(), held, "{}: node gauge after {step}", S::name());
+        assert_eq!(tele.pending_bytes(), held * node_bytes, "{}: byte gauge after {step}", S::name());
+    }
+
+    /// One handle life cycle against a peer that keeps one retiree
+    /// protected: register, retire, scan, drop (parks the pinned node),
+    /// re-register (adopts it, where the scheme adopts) and a final scan.
+    fn gauge_life_cycle<S: HasCore>() {
+        // Watermarks out of reach: only the explicit steps below scan.
+        let smr = S::new(
+            Config::default().with_max_threads(4).with_empty_freq(1 << 20).with_scan_watermark(1 << 20),
+        );
+        let mut writer = smr.register();
+        let mut peer = smr.register();
+        assert_gauge_exact(&*smr, &[&writer, &peer], 0, "register");
+
+        writer.start_op();
+        let pinned = writer.alloc_with_index([0u8; 48], 5 << 16);
+        let cell = Atomic::new(pinned);
+        peer.start_op();
+        assert_eq!(peer.read(&cell, 0), pinned);
+        cell.store(Shared::null(), Ordering::Release);
+        // SAFETY: [INV-12] unlinked above, retired once.
+        unsafe { writer.retire(pinned) };
+        let node_bytes = smr.telemetry().pending_bytes();
+        assert!(node_bytes > 0, "{}: retired bytes counted", S::name());
+        for i in 0..8u32 {
+            // Indices far from the pinned node's margin.
+            let n = writer.alloc_with_index([0u8; 48], (100 + i) << 20);
+            // SAFETY: [INV-12] never published, retired once.
+            unsafe { writer.retire(n) };
         }
-        assert_eq!(scans, 5, "exactly every empty_freq retires");
+        writer.end_op();
+        assert_gauge_exact(&*smr, &[&writer, &peer], node_bytes, "retire");
+
+        writer.force_empty();
+        assert_gauge_exact(&*smr, &[&writer, &peer], node_bytes, "force_empty");
+
+        drop(writer);
+        assert!(smr.core().registry.orphan_count() >= 1, "{}: pinned node parked", S::name());
+        assert_gauge_exact(&*smr, &[&peer], node_bytes, "drop with a peer registered");
+
+        let mut adopter = smr.register();
+        assert_gauge_exact(&*smr, &[&peer, &adopter], node_bytes, "re-register");
+
+        peer.end_op();
+        drop(peer);
+        adopter.force_empty();
+        assert_gauge_exact(&*smr, &[&adopter], node_bytes, "adopter scan");
+        drop(adopter);
+        assert_gauge_exact(&*smr, &[], node_bytes, "last drop");
+    }
+
+    #[test]
+    fn gauge_matches_orphans_plus_live_lists_for_every_scheme() {
+        for kind in crate::SchemeKind::ALL {
+            crate::with_scheme!(kind, S => gauge_life_cycle::<S>());
+        }
     }
 
     #[test]

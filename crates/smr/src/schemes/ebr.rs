@@ -12,19 +12,18 @@
 //! and wasted memory grows without bound — the failure mode motivating MP.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, RetiredList, SchemeCore, INACTIVE};
 use crate::stats::FenceSite;
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
@@ -33,25 +32,14 @@ pub struct Ebr {
     clock: EpochClock,
     /// One announcement slot per thread: observed epoch, or `INACTIVE`.
     announce: SlotArray,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`Ebr`].
 pub struct EbrHandle {
     scheme: Arc<Ebr>,
-    tid: usize,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
-    scan: ScanState,
+    retired: RetiredList,
     alloc_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -59,40 +47,20 @@ impl Smr for Ebr {
     type Handle = EbrHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::new(cfg)?;
         Ok(Arc::new(Ebr {
             clock: EpochClock::new(),
-            announce: SlotArray::new(cfg.max_threads, 1, INACTIVE),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            announce: SlotArray::new(core.cfg.max_threads, 1, INACTIVE),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let (retired, tele) = RetiredList::register(&self.core, true)?;
         Ok(EbrHandle {
             scheme: self.clone(),
-            tid: lease.tid,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
-            scan,
+            retired,
             alloc_counter: 0,
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -102,11 +70,11 @@ impl Smr for Ebr {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -117,15 +85,6 @@ impl Telemetry for EbrHandle {
 
     fn tele_mut(&mut self) -> &mut HandleTelemetry {
         &mut self.tele
-    }
-}
-
-impl Drop for Ebr {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
     }
 }
 
@@ -145,49 +104,19 @@ impl Ebr {
 }
 
 impl EbrHandle {
-    /// Reclamation scan; allocation-free in steady state (the retired list
-    /// swaps through the retained `scan_scratch`).
+    /// Reclamation scan: frees every node retired before the oldest active
+    /// announcement.
     fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity() + self.scan_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
+        let ticket = self.retired.begin_scan(&mut self.tele, 0);
         let min = self.scheme.min_active_epoch();
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            // Free if every active thread announced strictly after the
-            // retirement epoch (see module docs). No active thread: free.
-            let safe = match min {
-                None => true,
-                Some(m) => r.retire < m,
-            };
-            if safe {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] unreachable since retirement and, by the
-                // epoch argument above (every active announcement is newer
-                // than the retire stamp), referenced by no active thread.
-                unsafe { r.reclaim() };
-            } else {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity() + self.scan_scratch.capacity() > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+        // SAFETY: [INV-05] a node is freed only if every active thread
+        // announced strictly after its retire stamp (or none is active):
+        // such threads began after the unlink, so none references it.
+        unsafe {
+            self.retired.sweep(&self.scheme.core, &mut self.tele, ticket, 0, |r| {
+                min.is_some_and(|m| r.retire >= m)
+            })
+        };
     }
 
     /// Backpressure help-scan: adopt orphaned retired lists and scan them.
@@ -195,9 +124,7 @@ impl EbrHandle {
     /// (EBR is not robust), but it does drain orphans and anything retired
     /// before the stalled epoch. See [`crate::backpressure`].
     fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
+        self.retired.begin_help(&self.scheme.core, &mut self.tele);
         self.empty();
     }
 }
@@ -210,11 +137,9 @@ impl SmrHandle for EbrHandle {
         crate::oracle::enter_scheme("EBR");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
         let e = self.scheme.clock.now();
-        self.scheme.announce.get(self.tid, 0).store(e, Ordering::Release);
+        self.scheme.announce.get(self.retired.tid(), 0).store(e, Ordering::Release);
         // The announcement must be visible before any data-structure read.
         counted_fence(&mut self.tele, FenceSite::StartOp);
     }
@@ -222,7 +147,7 @@ impl SmrHandle for EbrHandle {
     fn end_op(&mut self) {
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_end_op();
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
+        self.scheme.announce.get(self.retired.tid(), 0).store(INACTIVE, Ordering::Release);
     }
 
     #[inline]
@@ -230,48 +155,26 @@ impl SmrHandle for EbrHandle {
         src.load(Ordering::Acquire)
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
         self.alloc_counter += 1;
-        if self.alloc_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
+        if self.alloc_counter.is_multiple_of(self.scheme.core.cfg.epoch_freq) {
             let e = self.scheme.clock.advance();
             self.tele.record_epoch_advance(e);
         }
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let birth = self.scheme.clock.now();
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
+        if self.retired.push(&self.scheme.core, &mut self.tele, r) {
             self.empty();
         }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
+        if self.retired.assess_pressure(&self.scheme.core, &mut self.tele) {
             self.help_scan();
         }
     }
@@ -287,11 +190,10 @@ impl SmrHandle for EbrHandle {
 
 impl Drop for EbrHandle {
     fn drop(&mut self) {
-        self.scheme.announce.get(self.tid, 0).store(INACTIVE, Ordering::Release);
+        self.scheme.announce.get(self.retired.tid(), 0).store(INACTIVE, Ordering::Release);
         // Drain scan before parking leftovers — see HpHandle::drop.
         self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 
@@ -385,10 +287,8 @@ mod tests {
         a.start_op();
         b.start_op();
         b.force_empty();
-        assert!(
-            !b.retired.iter().any(|r| r.addr() == old.addr()),
-            "old node freed despite active thread"
-        );
+        // `old` is the only node `b` has retired so far.
+        assert_eq!(b.retired_len(), 0, "old node freed despite active thread");
         a.end_op();
         b.end_op();
         for f in fillers {

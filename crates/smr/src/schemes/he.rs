@@ -14,19 +14,20 @@
 //! entire data structure (§1).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, SharedSnapshot, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{
+    counted_fence, EpochClock, RetiredList, SchemeCore, SharedSnapshot, INACTIVE,
+};
 use crate::stats::FenceSite;
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
@@ -38,11 +39,7 @@ pub struct He {
     /// Version-stamped era snapshot shared across scanning handles;
     /// adopted instead of re-walked when no announcement changed.
     shared_snap: SharedSnapshot,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`He`].
@@ -51,10 +48,7 @@ pub struct HeHandle {
     tid: usize,
     /// Local mirror of this thread's announced eras.
     local: Vec<u64>,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
+    retired: RetiredList,
     /// Retained era-snapshot buffer, refilled in place per scan.
     era_scratch: Vec<u64>,
     /// Retained generation-vector buffer for snapshot adoption.
@@ -64,9 +58,6 @@ pub struct HeHandle {
     /// not bump generations, so the forced fresh walk bounds how long a
     /// released era can linger in an adopted snapshot.
     adopted_last: bool,
-    scan: ScanState,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -74,44 +65,26 @@ impl Smr for He {
     type Handle = HeHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(He {
             clock: EpochClock::new(),
-            era_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, INACTIVE),
-            shared_snap: SharedSnapshot::new(cfg.max_threads, cfg.slots_per_thread),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            era_slots: SlotArray::new(threads, slots, INACTIVE),
+            shared_snap: SharedSnapshot::new(threads, slots),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let (retired, tele) = RetiredList::register(&self.core, true)?;
         Ok(HeHandle {
             scheme: self.clone(),
-            tid: lease.tid,
-            local: vec![INACTIVE; self.cfg.slots_per_thread],
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
+            tid: retired.tid(),
+            local: vec![INACTIVE; self.core.cfg.slots_per_thread],
+            retired,
             era_scratch: Vec::new(),
             gens_scratch: Vec::new(),
             adopted_last: false,
-            scan,
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -121,11 +94,11 @@ impl Smr for He {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -136,15 +109,6 @@ impl Telemetry for HeHandle {
 
     fn tele_mut(&mut self) -> &mut HandleTelemetry {
         &mut self.tele
-    }
-}
-
-impl Drop for He {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
     }
 }
 
@@ -173,21 +137,19 @@ fn interval_hit(eras: &[u64], birth: u64, retire: u64) -> bool {
 }
 
 impl HeHandle {
+    /// Capacity of the handle-owned snapshot buffers.
+    fn snapshot_caps(&self) -> usize {
+        self.era_scratch.capacity() + self.gens_scratch.capacity()
+    }
+
     /// Reclamation scan; allocation-free in steady state (era snapshot and
     /// retired list both cycle through handle-owned buffers).
     /// `allow_adopt` permits reusing the shared era snapshot; explicit
     /// `force_empty` calls pass `false` so they always observe the live
     /// slots.
     fn empty(&mut self, allow_adopt: bool) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.era_scratch.capacity()
-            + self.gens_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
+        let caps = self.snapshot_caps();
+        let ticket = self.retired.begin_scan(&mut self.tele, caps);
         // Same adoption protocol as HP (see SharedSnapshot docs): equal
         // generation vectors prove no era was announced-and-validated since
         // the published walk, so reusing it only over-approximates.
@@ -215,38 +177,16 @@ impl HeHandle {
             self.scheme.snapshot_eras_into(&mut self.era_scratch);
             self.scheme.shared_snap.publish_snapshot(&self.gens_scratch, &self.era_scratch);
         }
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            if interval_hit(&self.era_scratch, r.birth, r.retire) {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the snapshot taken after the SeqCst fence
-                // shows no announced era overlapping the node's lifetime, so
-                // no thread can have validated a protection for it (§3.3).
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.era_scratch.capacity()
-            + self.gens_scratch.capacity()
-            > caps_before
-        {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+        let caps = self.snapshot_caps();
+        let eras = &self.era_scratch;
+        // SAFETY: [INV-05] a node is freed only if the snapshot taken after
+        // the SeqCst fence shows no announced era overlapping its lifetime,
+        // so no thread can have validated a protection for it (§3.3).
+        unsafe {
+            self.retired.sweep(&self.scheme.core, &mut self.tele, ticket, caps, |r| {
+                interval_hit(eras, r.birth, r.retire)
+            })
+        };
         // Oracle: era-pile conformance bound. At most T·H distinct eras are
         // announced; each pins retirees whose lifetime contains it, and the
         // era clock advances every `epoch_freq` allocations per thread, so
@@ -257,7 +197,7 @@ impl HeHandle {
         // scan retains at test scale.
         #[cfg(feature = "oracle")]
         {
-            let cfg = &self.scheme.cfg;
+            let cfg = &self.scheme.core.cfg;
             let t = cfg.max_threads as u128;
             let h = cfg.slots_per_thread as u128;
             let f = cfg.epoch_freq as u128;
@@ -270,9 +210,7 @@ impl HeHandle {
     /// peers parked as orphans, then scan against the *live* era slots.
     /// See [`crate::backpressure`].
     fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
+        self.retired.begin_help(&self.scheme.core, &mut self.tele);
         self.empty(false);
     }
 }
@@ -283,9 +221,7 @@ impl SmrHandle for HeHandle {
         crate::oracle::enter_scheme("HE");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::HE);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
     }
 
     fn end_op(&mut self) {
@@ -331,48 +267,27 @@ impl SmrHandle for HeHandle {
         self.local[refno] = INACTIVE;
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let birth = self.scheme.clock.now();
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
+        let due = self.retired.push(&self.scheme.core, &mut self.tele, r);
         // HE advances the era every constant number of deletions (§3.3).
-        if self.scan.retires().is_multiple_of(self.scheme.cfg.epoch_freq) {
+        if self.retired.retires().is_multiple_of(self.scheme.core.cfg.epoch_freq) {
             let e = self.scheme.clock.advance();
             self.tele.record_epoch_advance(e);
         }
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
+        if due {
             self.empty(true);
         }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
+        if self.retired.assess_pressure(&self.scheme.core, &mut self.tele) {
             self.help_scan();
         }
     }
@@ -397,8 +312,7 @@ impl Drop for HeHandle {
         // watermark triggers plus handle churn, skipping this would leak
         // every retired node of short-lived handles into the orphan list.
         self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 

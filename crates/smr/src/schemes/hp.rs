@@ -14,20 +14,18 @@
 //! rescanning them per retired node.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::Registry;
 use crate::registry::SlotArray;
-use crate::schemes::common::{counted_fence, ScanPolicy, ScanState, SharedSnapshot, NO_HAZARD};
+use crate::schemes::common::{counted_fence, RetiredList, SchemeCore, SharedSnapshot, NO_HAZARD};
 use crate::stats::FenceSite;
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
@@ -37,11 +35,7 @@ pub struct Hp {
     /// Version-stamped hazard snapshot shared across scanning handles;
     /// adopted instead of re-walked when no protection changed underneath.
     shared_snap: SharedSnapshot,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`Hp`].
@@ -51,12 +45,7 @@ pub struct HpHandle {
     /// Thread-local mirror of this thread's slots (avoids atomic re-loads
     /// when checking whether a node is already protected).
     local: Vec<u64>,
-    /// Cache-padded so adjacent handles never false-share the hot
-    /// retired-list head (cf. `registry.rs::SlotArray` rows).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()` (steady-state scans allocate
-    /// nothing).
-    scan_scratch: Vec<Retired>,
+    retired: RetiredList,
     /// Retained hazard-snapshot buffer, refilled in place per scan.
     hazard_scratch: Vec<u64>,
     /// Retained generation-vector buffer for snapshot adoption.
@@ -66,9 +55,6 @@ pub struct HpHandle {
     /// bump generations, so the forced fresh walk bounds how long a
     /// released hazard can linger in an adopted snapshot.
     adopted_last: bool,
-    scan: ScanState,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -76,43 +62,25 @@ impl Smr for Hp {
     type Handle = HpHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(Hp {
-            hp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_HAZARD),
-            shared_snap: SharedSnapshot::new(cfg.max_threads, cfg.slots_per_thread),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
+            shared_snap: SharedSnapshot::new(threads, slots),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let (retired, tele) = RetiredList::register(&self.core, true)?;
         Ok(HpHandle {
             scheme: self.clone(),
-            tid: lease.tid,
-            local: vec![NO_HAZARD; self.cfg.slots_per_thread],
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
+            tid: retired.tid(),
+            local: vec![NO_HAZARD; self.core.cfg.slots_per_thread],
+            retired,
             hazard_scratch: Vec::new(),
             gens_scratch: Vec::new(),
             adopted_last: false,
-            scan,
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -122,11 +90,11 @@ impl Smr for Hp {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -137,16 +105,6 @@ impl Telemetry for HpHandle {
 
     fn tele_mut(&mut self) -> &mut HandleTelemetry {
         &mut self.tele
-    }
-}
-
-impl Drop for Hp {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-        self.tele.pending.sub(self.tele.pending.get(), self.tele.pending.bytes());
     }
 }
 
@@ -169,18 +127,9 @@ impl Hp {
 }
 
 impl HpHandle {
-    /// Naive per-node rescan of the live slot arrays (the pre-optimization
-    /// behavior of the IBR framework; kept for the ablation bench).
-    fn hazard_hit_naive(&self, addr: u64) -> bool {
-        let slots = &self.scheme.hp_slots;
-        for tid in 0..slots.threads() {
-            for s in slots.row(tid) {
-                if s.load(Ordering::Acquire) == addr {
-                    return true;
-                }
-            }
-        }
-        false
+    /// Capacity of the handle-owned snapshot buffers.
+    fn snapshot_caps(&self) -> usize {
+        self.hazard_scratch.capacity() + self.gens_scratch.capacity()
     }
 
     /// Reclamation scan; allocation-free in steady state (the hazard
@@ -189,95 +138,52 @@ impl HpHandle {
     /// explicit `force_empty` calls pass `false` so they always observe the
     /// live slots.
     fn empty(&mut self, allow_adopt: bool) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.hazard_scratch.capacity()
-            + self.gens_scratch.capacity();
-        // Ensure retirements we are about to judge are ordered after any
-        // protection announcements we will observe.
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        let naive = self.scheme.cfg.ablation_naive_scan;
-        if !naive {
-            // Generation vector loaded *after* this handle's fence: if it
-            // still equals the published snapshot's vector, no protection
-            // was announced-and-validated since that snapshot's walk, so
-            // adopting it only over-approximates (see SharedSnapshot docs).
-            self.scheme.shared_snap.load_gens_into(&mut self.gens_scratch);
-            let adopted = allow_adopt
-                && !self.adopted_last
-                && self
-                    .scheme
-                    .shared_snap
-                    .try_adopt_into(&self.gens_scratch, &mut self.hazard_scratch);
-            self.adopted_last = adopted;
-            if adopted {
-                self.tele.record_snapshot_reuse();
-                #[cfg(feature = "oracle")]
-                {
-                    // The reused snapshot must contain every hazard a fresh
-                    // walk would see (superset check).
-                    let mut fresh = Vec::new();
-                    self.scheme.snapshot_hazards_into(&mut fresh);
-                    for v in &fresh {
-                        assert!(
-                            self.hazard_scratch.binary_search(v).is_ok(),
-                            "snapshot reuse under-approximates: hazard {v:#x} missing"
-                        );
-                    }
+        let caps = self.snapshot_caps();
+        let ticket = self.retired.begin_scan(&mut self.tele, caps);
+        // Generation vector loaded *after* this handle's fence: if it
+        // still equals the published snapshot's vector, no protection was
+        // announced-and-validated since that snapshot's walk, so adopting
+        // it only over-approximates (see SharedSnapshot docs).
+        self.scheme.shared_snap.load_gens_into(&mut self.gens_scratch);
+        let adopted = allow_adopt
+            && !self.adopted_last
+            && self.scheme.shared_snap.try_adopt_into(&self.gens_scratch, &mut self.hazard_scratch);
+        self.adopted_last = adopted;
+        if adopted {
+            self.tele.record_snapshot_reuse();
+            #[cfg(feature = "oracle")]
+            {
+                // The reused snapshot must contain every hazard a fresh
+                // walk would see (superset check).
+                let mut fresh = Vec::new();
+                self.scheme.snapshot_hazards_into(&mut fresh);
+                for v in &fresh {
+                    assert!(
+                        self.hazard_scratch.binary_search(v).is_ok(),
+                        "snapshot reuse under-approximates: hazard {v:#x} missing"
+                    );
                 }
-            } else {
-                self.scheme.snapshot_hazards_into(&mut self.hazard_scratch);
-                self.scheme.shared_snap.publish_snapshot(&self.gens_scratch, &self.hazard_scratch);
             }
+        } else {
+            self.scheme.snapshot_hazards_into(&mut self.hazard_scratch);
+            self.scheme.shared_snap.publish_snapshot(&self.gens_scratch, &self.hazard_scratch);
         }
-        // Swap the retired list through the retained scratch (`mem::take`
-        // leaves a capacity-0 Vec: no allocation).
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            let protected = if naive {
-                self.hazard_hit_naive(r.addr())
-            } else {
-                self.hazard_scratch.binary_search(&r.addr()).is_ok()
-            };
-            if protected {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the node is retired (unreachable) and no
-                // hazard slot held its address after the SeqCst fence, so no
-                // thread can have validated a protection for it.
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        let caps_after = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.hazard_scratch.capacity()
-            + self.gens_scratch.capacity();
-        if caps_after > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+        let caps = self.snapshot_caps();
+        let hazards = &self.hazard_scratch;
+        // SAFETY: [INV-05] a node is freed only if no hazard slot held its
+        // address after the SeqCst fence, so no thread can have validated
+        // a protection for it.
+        unsafe {
+            self.retired.sweep(&self.scheme.core, &mut self.tele, ticket, caps, |r| {
+                hazards.binary_search(&r.addr()).is_ok()
+            })
+        };
         // Oracle: every kept node is pinned by some announced hazard, so a
         // handle's list can never exceed the total slot budget (the paper's
         // Table 1 bound for HP).
         #[cfg(feature = "oracle")]
         {
-            let cfg = &self.scheme.cfg;
+            let cfg = &self.scheme.core.cfg;
             crate::oracle::check_waste_bound(
                 "HP",
                 self.retired.len(),
@@ -291,11 +197,7 @@ impl HpHandle {
     /// snapshot adoption — helping exists to free memory now, not to be
     /// cheap). See [`crate::backpressure`].
     fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        // The scan's rearm (inside empty) re-baselines the backlog, so no
-        // separate bookkeeping is needed for the adopted nodes.
+        self.retired.begin_help(&self.scheme.core, &mut self.tele);
         self.empty(false);
     }
 }
@@ -306,23 +208,12 @@ impl SmrHandle for HpHandle {
         crate::oracle::enter_scheme("HP");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::HP);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
     }
 
     fn end_op(&mut self) {
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_end_op();
-        if self.scheme.cfg.ablation_per_slot_fence {
-            // Unoptimized baseline: fence after clearing each slot.
-            for slot in self.scheme.hp_slots.row(self.tid) {
-                slot.store(NO_HAZARD, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-            }
-            self.local.fill(NO_HAZARD);
-            return;
-        }
         // Paper optimization: clear all slots, then a single fence.
         self.scheme.hp_slots.clear_row(self.tid, Ordering::Release);
         self.local.fill(NO_HAZARD);
@@ -386,42 +277,19 @@ impl SmrHandle for HpHandle {
         crate::hb::on_unprotect(refno);
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, 0, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, 0)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), 0) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
+        if self.retired.push(&self.scheme.core, &mut self.tele, r) {
             self.empty(true);
         }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
+        if self.retired.assess_pressure(&self.scheme.core, &mut self.tele) {
             self.help_scan();
         }
     }
@@ -449,8 +317,7 @@ impl Drop for HpHandle {
         // row clear so the handle's own stale announcements don't pin its
         // leftovers.
         self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 

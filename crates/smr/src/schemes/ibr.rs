@@ -20,19 +20,18 @@
 //! node alive when a thread stalls stays pinned by its interval.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::Ordering;
 
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, EpochClock, ScanPolicy, ScanState, INACTIVE};
+use crate::registry::SlotArray;
+use crate::schemes::common::{counted_fence, EpochClock, RetiredList, SchemeCore, INACTIVE};
 use crate::stats::FenceSite;
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
@@ -44,11 +43,7 @@ pub struct Ibr {
     clock: EpochClock,
     /// Two slots per thread: reserved `[lower, upper]` (INACTIVE = idle).
     reservations: SlotArray,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    registry: Registry,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`Ibr`].
@@ -56,16 +51,10 @@ pub struct IbrHandle {
     scheme: Arc<Ibr>,
     tid: usize,
     upper_local: u64,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`.
-    scan_scratch: Vec<Retired>,
+    retired: RetiredList,
     /// Retained reservation-snapshot buffer, refilled in place per scan.
     interval_scratch: Vec<(u64, u64)>,
-    scan: ScanState,
     alloc_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -73,42 +62,23 @@ impl Smr for Ibr {
     type Handle = IbrHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::new(cfg)?;
         Ok(Arc::new(Ibr {
             clock: EpochClock::new(),
-            reservations: SlotArray::new(cfg.max_threads, 2, INACTIVE),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            registry: Registry::new(cfg.max_threads),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            reservations: SlotArray::new(core.cfg.max_threads, 2, INACTIVE),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<IbrHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let (retired, tele) = RetiredList::register(&self.core, true)?;
         Ok(IbrHandle {
             scheme: self.clone(),
-            tid: lease.tid,
+            tid: retired.tid(),
             upper_local: INACTIVE,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
+            retired,
             interval_scratch: Vec::new(),
-            scan,
             alloc_counter: 0,
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -118,11 +88,11 @@ impl Smr for Ibr {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -136,28 +106,12 @@ impl Telemetry for IbrHandle {
     }
 }
 
-impl Drop for Ibr {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
-
 impl IbrHandle {
     /// Reclamation scan; allocation-free in steady state (the reservation
     /// snapshot and the retired list both cycle through handle-owned
     /// buffers).
     fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.interval_scratch.capacity();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
+        let ticket = self.retired.begin_scan(&mut self.tele, self.interval_scratch.capacity());
         // Snapshot all active reservations once, into the retained buffer.
         self.interval_scratch.clear();
         for tid in 0..self.scheme.reservations.threads() {
@@ -167,46 +121,23 @@ impl IbrHandle {
                 self.interval_scratch.push((lo, hi.min(INACTIVE - 1)));
             }
         }
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        for r in pending.drain(..) {
-            let conflict =
-                self.interval_scratch.iter().any(|&(lo, hi)| !(r.retire < lo || r.birth > hi));
-            if conflict {
-                kept_bytes += r.bytes() as usize;
-                self.retired.push(r);
-            } else {
-                self.tele.record_free(r.addr());
-                freed_bytes += r.bytes() as usize;
-                // SAFETY: [INV-05] the snapshot taken after the SeqCst fence
-                // shows every active interval began after the node was
-                // retired or ended before it was born, so no thread's
-                // reservation admits a reference to it.
-                unsafe { r.reclaim() };
-            }
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.retired.capacity() + self.scan_scratch.capacity() + self.interval_scratch.capacity()
-            > caps_before
-        {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+        let caps = self.interval_scratch.capacity();
+        let intervals = &self.interval_scratch;
+        // SAFETY: [INV-05] a node is freed only if the snapshot taken after
+        // the SeqCst fence shows every active interval began after it was
+        // retired or ended before it was born, so no thread's reservation
+        // admits a reference to it.
+        unsafe {
+            self.retired.sweep(&self.scheme.core, &mut self.tele, ticket, caps, |r| {
+                intervals.iter().any(|&(lo, hi)| !(r.retire < lo || r.birth > hi))
+            })
+        };
     }
 
     /// Backpressure help-scan: adopt orphaned retired lists and scan them
     /// against the live reservations. See [`crate::backpressure`].
     fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
+        self.retired.begin_help(&self.scheme.core, &mut self.tele);
         self.empty();
     }
 }
@@ -220,9 +151,7 @@ impl SmrHandle for IbrHandle {
         crate::oracle::enter_scheme("IBR");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
         let e = self.scheme.clock.now();
         self.scheme.reservations.get(self.tid, LOWER).store(e, Ordering::Release);
         self.scheme.reservations.get(self.tid, UPPER).store(e, Ordering::Release);
@@ -255,49 +184,27 @@ impl SmrHandle for IbrHandle {
         }
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
         self.alloc_counter += 1;
         // IBR advances the epoch every constant number of allocations (§3.3).
-        if self.alloc_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
+        if self.alloc_counter.is_multiple_of(self.scheme.core.cfg.epoch_freq) {
             let e = self.scheme.clock.advance();
             self.tele.record_epoch_advance(e);
         }
-        let ptr = crate::node::alloc_node_in(data, index, self.scheme.clock.now(), &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        let birth = self.scheme.clock.now();
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.clock.now();
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
+        if self.retired.push(&self.scheme.core, &mut self.tele, r) {
             self.empty();
         }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
+        if self.retired.assess_pressure(&self.scheme.core, &mut self.tele) {
             self.help_scan();
         }
     }
@@ -316,8 +223,7 @@ impl Drop for IbrHandle {
         self.scheme.reservations.clear_row(self.tid, Ordering::Release);
         // Drain scan before parking leftovers — see HpHandle::drop.
         self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 

@@ -12,29 +12,22 @@ use core::sync::atomic::Ordering;
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::Retired;
 use crate::packed::{Atomic, Shared};
-use crate::registry::Registry;
+use crate::schemes::common::{RetiredList, SchemeCore};
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
 /// The leaky "scheme": never reclaims (see module docs).
 pub struct Leaky {
-    registry: Registry,
-    bp_policy: BackpressurePolicy,
-    max_threads: usize,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`Leaky`].
 pub struct LeakyHandle {
     scheme: Arc<Leaky>,
-    tid: usize,
-    /// Cache-padded retired-list head (no false sharing between handles).
-    retired: CachePadded<Vec<Retired>>,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
+    retired: RetiredList,
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -42,31 +35,13 @@ impl Smr for Leaky {
     type Handle = LeakyHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
-        Ok(Arc::new(Leaky {
-            registry: Registry::new(cfg.max_threads),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            max_threads: cfg.max_threads,
-            tele: SchemeTelemetry::new(),
-        }))
+        Ok(Arc::new(Leaky { core: SchemeCore::new(cfg)? }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.max_threads })?;
-        let mut tele = HandleTelemetry::new(lease.tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        Ok(LeakyHandle {
-            scheme: self.clone(),
-            tid: lease.tid,
-            retired: CachePadded::new(Vec::new()),
-            bp_rung: BpLevel::Normal,
-            tele: CachePadded::new(tele),
-        })
+        // No orphan adoption: nothing would ever free the adopted nodes.
+        let (retired, tele) = RetiredList::register(&self.core, false)?;
+        Ok(LeakyHandle { scheme: self.clone(), retired, tele: CachePadded::new(tele) })
     }
 
     fn name() -> &'static str {
@@ -74,11 +49,11 @@ impl Smr for Leaky {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -92,15 +67,6 @@ impl Telemetry for LeakyHandle {
     }
 }
 
-impl Drop for Leaky {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
-    }
-}
-
 impl SmrHandle for LeakyHandle {
     fn start_op(&mut self) {
         // Oracle context only: Leaky never reclaims, so no bound applies —
@@ -109,9 +75,7 @@ impl SmrHandle for LeakyHandle {
         crate::oracle::enter_scheme("Leaky");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::EPOCH);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
     }
 
     fn end_op(&mut self) {
@@ -124,42 +88,21 @@ impl SmrHandle for LeakyHandle {
         src.load(Ordering::Acquire)
     }
 
-    fn alloc<T: Send + Sync>(&mut self, data: T) -> Shared<T> {
-        self.alloc_with_index(data, 0)
-    }
-
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
-        let ptr = crate::node::alloc_node_in(data, index, 0, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, 0)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), 0) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.retired.push(r);
-        // Leaky has no scan, so the help rung cannot free anything — but
-        // the ladder still tracks the gauge so the throttle rung (and the
-        // engagement telemetry) work, keeping the no-reclamation baseline
-        // honest about its memory pressure.
-        let _ = backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
+        // Leaky has no scan, so neither a due scan nor the help rung can
+        // free anything — but the ladder still tracks the gauge so the
+        // throttle rung (and the engagement telemetry) work, keeping the
+        // no-reclamation baseline honest about its memory pressure.
+        let _ = self.retired.push(&self.scheme.core, &mut self.tele, r);
+        let _ = self.retired.assess_pressure(&self.scheme.core, &mut self.tele);
     }
 
     fn retired_len(&self) -> usize {
@@ -174,8 +117,7 @@ impl SmrHandle for LeakyHandle {
 
 impl Drop for LeakyHandle {
     fn drop(&mut self) {
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 
@@ -195,7 +137,7 @@ mod tests {
         assert_eq!(h.retired_len(), 1, "leaky keeps everything");
         assert_eq!(smr.retired_pending(), 1);
         drop(h);
-        assert_eq!(smr.registry.orphan_count(), 1, "node parked as orphan on handle drop");
+        assert_eq!(smr.core.registry.orphan_count(), 1, "node parked as orphan on handle drop");
         // Scheme drop reclaims orphans; exact gauge equality is asserted by
         // the single-process `leak_check` integration test.
     }

@@ -65,19 +65,20 @@
 //!   slots for every candidate, which is strictly conservative.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
 use mp_util::CachePadded;
 
 use crate::api::{Config, Smr, SmrHandle};
-use crate::backpressure::{self, BackpressurePolicy, BpLevel};
+use crate::backpressure::BackpressurePolicy;
 use crate::error::SmrError;
 use crate::node::{is_use_hp_class, Retired, USE_HP};
 use crate::packed::{Atomic, Shared};
-use crate::registry::{Registry, SlotArray};
-use crate::schemes::common::{counted_fence, ScanPolicy, ScanState, INACTIVE, NO_HAZARD, NO_MARGIN};
+use crate::registry::SlotArray;
+use crate::schemes::common::{
+    counted_fence, RetiredList, SchemeCore, INACTIVE, NO_HAZARD, NO_MARGIN,
+};
 use crate::stats::FenceSite;
 use crate::telemetry::{HandleTelemetry, SchemeTelemetry, Telemetry};
 
@@ -102,11 +103,7 @@ pub struct Mp {
     /// is moving margins between slots fence-free, bumped even when the
     /// cycle completes. Reclamation scans retry on a torn read.
     mp_versions: SlotArray,
-    registry: Registry,
-    scan_policy: ScanPolicy,
-    bp_policy: BackpressurePolicy,
-    cfg: Config,
-    tele: SchemeTelemetry,
+    pub(crate) core: SchemeCore,
 }
 
 /// Per-thread handle for [`Mp`].
@@ -162,21 +159,13 @@ pub struct MpHandle {
     victim_next: usize,
     /// Whether this operation already consumed its one epoch re-arm.
     rearmed: bool,
-    /// Retired-list head and stats are cache-padded so two handles adjacent
-    /// in memory never false-share their hottest mutable state (same
-    /// treatment `registry.rs::SlotArray` gives slot rows).
-    retired: CachePadded<Vec<Retired>>,
-    /// Retained swap buffer for `empty()`: the drain source on one scan is
-    /// the keep destination on the next, so steady-state scans never
-    /// allocate.
-    scan_scratch: Vec<Retired>,
+    retired: RetiredList,
     /// Retained per-thread slot snapshots (`ThreadSnap` interval/hazard
     /// buffers), refilled in place by every scan.
     snaps: Vec<ThreadSnap>,
-    scan: ScanState,
-    unlink_counter: usize,
-    /// In-op backpressure rung (monotone within one op; reset by start_op).
-    bp_rung: BpLevel,
+    /// Stats are cache-padded so two handles adjacent in memory never
+    /// false-share their hottest mutable state (same treatment
+    /// `registry.rs::SlotArray` gives slot rows).
     tele: CachePadded<HandleTelemetry>,
 }
 
@@ -184,50 +173,36 @@ impl Smr for Mp {
     type Handle = MpHandle;
 
     fn try_new(cfg: Config) -> Result<Arc<Self>, SmrError> {
-        cfg.validate()?;
+        let core = SchemeCore::new(cfg)?;
+        let (threads, slots) = (core.cfg.max_threads, core.cfg.slots_per_thread);
         Ok(Arc::new(Mp {
             global_epoch: AtomicU64::new(1),
-            mp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_MARGIN),
-            hp_slots: SlotArray::new(cfg.max_threads, cfg.slots_per_thread, NO_HAZARD),
-            local_epochs: SlotArray::new(cfg.max_threads, 1, INACTIVE),
-            mp_versions: SlotArray::new(cfg.max_threads, 1, 0),
-            registry: Registry::new(cfg.max_threads),
-            scan_policy: ScanPolicy::from_config(&cfg),
-            bp_policy: BackpressurePolicy::from_config(&cfg),
-            cfg,
-            tele: SchemeTelemetry::new(),
+            mp_slots: SlotArray::new(threads, slots, NO_MARGIN),
+            hp_slots: SlotArray::new(threads, slots, NO_HAZARD),
+            local_epochs: SlotArray::new(threads, 1, INACTIVE),
+            mp_versions: SlotArray::new(threads, 1, 0),
+            core,
         }))
     }
 
     fn try_register(self: &Arc<Self>) -> Result<MpHandle, SmrError> {
-        let lease = self
-            .registry
-            .try_acquire()
-            .ok_or(SmrError::RegistryExhausted { max_threads: self.cfg.max_threads })?;
-        let tid = lease.tid;
-        let mut tele = HandleTelemetry::new(tid);
-        if lease.recycled {
-            tele.record_tid_recycle();
-        }
-        // Adopt parked orphans: churned-out handles leave behind
-        // whatever their drain scan could not free; this handle frees
-        // them at its next scan instead of letting them pile to teardown.
-        let retired = self.registry.adopt_orphans();
-        let scan = ScanState::with_backlog(&self.scan_policy, &retired);
+        let (retired, tele) = RetiredList::register(&self.core, true)?;
+        let tid = retired.tid();
+        let cfg = &self.core.cfg;
         Ok(MpHandle {
             scheme: self.clone(),
             tid,
-            local_mps: vec![NO_MARGIN; self.cfg.slots_per_thread],
-            local_hps: vec![NO_HAZARD; self.cfg.slots_per_thread],
+            local_mps: vec![NO_MARGIN; cfg.slots_per_thread],
+            local_hps: vec![NO_HAZARD; cfg.slots_per_thread],
             lower_bound: 0,
             upper_bound: 0,
             epoch: 0,
-            margin_half: (self.cfg.margin / 2) as i64,
+            margin_half: (cfg.margin / 2) as i64,
             use_hp_mode: false,
             // A reused tid continues the previous owner's (even) version.
             version: self.mp_versions.get(tid, 0).load(Ordering::Acquire),
             // Generation 0 never recurs, so the zeroed entries start dead.
-            proteges: vec![0; self.cfg.slots_per_thread],
+            proteges: vec![0; cfg.slots_per_thread],
             last_cover: 0,
             cover_lo: 1,
             cover_hi: 0,
@@ -235,12 +210,8 @@ impl Smr for Mp {
             hps_dirty: false,
             victim_next: 0,
             rearmed: false,
-            retired: CachePadded::new(retired),
-            scan_scratch: Vec::new(),
+            retired,
             snaps: Vec::new(),
-            scan,
-            unlink_counter: 0,
-            bp_rung: BpLevel::Normal,
             tele: CachePadded::new(tele),
         })
     }
@@ -250,11 +221,11 @@ impl Smr for Mp {
     }
 
     fn telemetry(&self) -> &SchemeTelemetry {
-        &self.tele
+        &self.core.tele
     }
 
     fn backpressure_policy(&self) -> &BackpressurePolicy {
-        &self.bp_policy
+        &self.core.bp_policy
     }
 }
 
@@ -265,15 +236,6 @@ impl Telemetry for MpHandle {
 
     fn tele_mut(&mut self) -> &mut HandleTelemetry {
         &mut self.tele
-    }
-}
-
-impl Drop for Mp {
-    fn drop(&mut self) {
-        // SAFETY: [INV-06] teardown: every handle holds an `Arc` to the
-        // scheme, so `&mut self` here proves no handle exists and orphaned
-        // retired lists can no longer be protected by anyone.
-        unsafe { self.registry.reclaim_orphans() };
     }
 }
 
@@ -323,8 +285,8 @@ impl Mp {
     /// Refills `snaps` (one entry per registered thread) in place; after
     /// warm-up every buffer reuses its retained capacity.
     fn snapshot_into(&self, snaps: &mut Vec<ThreadSnap>) {
-        let half = (self.cfg.margin / 2) as i64;
-        snaps.resize_with(self.cfg.max_threads, ThreadSnap::default);
+        let half = (self.core.cfg.margin / 2) as i64;
+        snaps.resize_with(self.core.cfg.max_threads, ThreadSnap::default);
         for (tid, snap) in snaps.iter_mut().enumerate() {
             let version = self.mp_versions.get(tid, 0);
             let mut tries = 0;
@@ -390,13 +352,9 @@ fn covers(mp: u64, half: i64, idx_lo: u32, idx_hi: u32) -> bool {
 }
 
 impl MpHandle {
-    /// Combined capacity of every scan buffer; growth across one `empty()`
-    /// means the scan had to touch the heap (counted in `scan_heap_allocs`,
-    /// zero in steady state).
-    fn scan_caps(&self) -> usize {
-        self.retired.capacity()
-            + self.scan_scratch.capacity()
-            + self.snaps.capacity()
+    /// Capacity of the handle-owned slot snapshots.
+    fn snapshot_caps(&self) -> usize {
+        self.snaps.capacity()
             + self
                 .snaps
                 .iter()
@@ -407,78 +365,42 @@ impl MpHandle {
     /// Reclamation pass (Listing 10 `empty`), with the slot-snapshot
     /// optimization. Allocation-free in steady state: the slot snapshots
     /// refill handle-owned buffers, and the retired list is swapped through
-    /// the retained `scan_scratch` instead of draining into a fresh `Vec`.
+    /// the core's retained scratch instead of draining into a fresh `Vec`.
     fn empty(&mut self) {
-        self.tele.record_empty();
-        let scan_t0 = Instant::now();
-        let caps_before = self.scan_caps();
-        core::sync::atomic::fence(Ordering::SeqCst);
-        #[cfg(feature = "hb-oracle")]
-        crate::hb::on_fence_sc();
-        let naive = self.scheme.cfg.ablation_naive_scan;
-        if !naive {
-            self.scheme.snapshot_into(&mut self.snaps);
-        }
-        // Swap the retired list through the scratch: `pending` (last scan's
-        // scratch) becomes the drain source, the emptied `self.retired`
-        // collects the keepers, and the drained Vec is retained for next
-        // time. `mem::take` leaves a capacity-0 Vec, so no allocation.
-        let mut pending = std::mem::take(&mut self.scan_scratch);
-        debug_assert!(pending.is_empty());
-        std::mem::swap(&mut pending, &mut *self.retired);
-        let before = pending.len();
-        let mut kept_bytes = 0usize;
-        let mut freed_bytes = 0usize;
-        'next_node: for r in pending.drain(..) {
-            // Ablation: without the snapshot optimization, the live slot
-            // arrays are re-read for every retired node.
-            if naive {
-                self.scheme.snapshot_into(&mut self.snaps);
-            }
-            let (range_lo, range_hi) = precision_range(r.index);
-            for snap in &self.snaps {
-                // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters the
-                // hazard slots too, but a thread that observed the epoch
-                // advancing protects *newer-born* nodes with HPs (the
-                // §4.3.2 fallback) precisely while its announced epoch
-                // predates their birth — epoch-filtering hazards would
-                // reclaim under those protections (caught by
-                // tests/mp_depth.rs). Address protection is epoch-free and
-                // the waste bound's #HP term is unaffected.
-                if snap.hazards(r.addr()) {
-                    kept_bytes += r.bytes() as usize;
-                    self.retired.push(r);
-                    continue 'next_node;
-                }
-                // Epoch filter applies to margins only: a thread whose
-                // announced epoch lies outside the node's lifetime cannot
-                // have (validly) margin-protected it — Theorem 4.2's key
-                // step, bounding same-index retiree pileups.
-                if snap.epoch < r.birth || snap.epoch > r.retire {
-                    continue;
-                }
-                if !is_use_hp_class(r.index) && snap.covers(range_lo, range_hi) {
-                    kept_bytes += r.bytes() as usize;
-                    self.retired.push(r);
-                    continue 'next_node;
-                }
-            }
-            self.tele.record_free(r.addr());
-            freed_bytes += r.bytes() as usize;
-            // SAFETY: [INV-05] the scan above found no HP holding the
-            // address and no margin (of a thread whose epoch admits the
-            // node's lifetime) covering its index, so no thread can have
-            // validated protection for it (Theorem 4.3).
-            unsafe { r.reclaim() };
-        }
-        self.scan_scratch = pending;
-        let freed = before - self.retired.len();
-        self.scheme.tele.pending.sub(freed, freed_bytes);
-        self.scan.rearm(&self.scheme.scan_policy, self.retired.len(), kept_bytes);
-        if self.scan_caps() > caps_before {
-            self.tele.record_scan_heap_alloc();
-        }
-        self.tele.record_scan_elapsed(scan_t0);
+        let caps = self.snapshot_caps();
+        let ticket = self.retired.begin_scan(&mut self.tele, caps);
+        self.scheme.snapshot_into(&mut self.snaps);
+        let caps = self.snapshot_caps();
+        let snaps = &self.snaps;
+        // SAFETY: [INV-05] a node is freed only if no thread's snapshot
+        // holds its address in a hazard slot and no margin of a thread
+        // whose epoch admits the node's lifetime covers its index, so no
+        // thread can have validated protection for it (Theorem 4.3).
+        unsafe {
+            self.retired.sweep(&self.scheme.core, &mut self.tele, ticket, caps, |r| {
+                let (range_lo, range_hi) = precision_range(r.index);
+                snaps.iter().any(|snap| {
+                    // Hazard check: UNCONDITIONAL. Listing 10 epoch-filters
+                    // the hazard slots too, but a thread that observed the
+                    // epoch advancing protects *newer-born* nodes with HPs
+                    // (the §4.3.2 fallback) precisely while its announced
+                    // epoch predates their birth — epoch-filtering hazards
+                    // would reclaim under those protections (caught by
+                    // tests/mp_depth.rs). Address protection is epoch-free
+                    // and the waste bound's #HP term is unaffected.
+                    snap.hazards(r.addr())
+                        // Epoch filter applies to margins only: a thread
+                        // whose announced epoch lies outside the node's
+                        // lifetime cannot have (validly) margin-protected
+                        // it — Theorem 4.2's key step, bounding same-index
+                        // retiree pileups.
+                        || (r.birth <= snap.epoch
+                            && snap.epoch <= r.retire
+                            && !is_use_hp_class(r.index)
+                            && snap.covers(range_lo, range_hi))
+                })
+            })
+        };
         // Oracle: Theorem 4.2's predetermined bound. Each kept node is held
         // by a hazard (≤ T·H in total) or by a margin of a thread whose
         // epoch admits its lifetime; a margin spans at most margin + 2^16
@@ -489,7 +411,7 @@ impl MpHandle {
         // charges every slot of every thread.
         #[cfg(feature = "oracle")]
         {
-            let cfg = &self.scheme.cfg;
+            let cfg = &self.scheme.core.cfg;
             let t = cfg.max_threads as u128;
             let h = cfg.slots_per_thread as u128;
             let m = cfg.margin as u128 + (1 << 16);
@@ -501,11 +423,7 @@ impl MpHandle {
     /// Backpressure help-scan: adopt whatever retired lists churned-out
     /// peers parked as orphans, then scan. See [`crate::backpressure`].
     fn help_scan(&mut self) {
-        self.tele.record_help_scan();
-        let orphans = self.scheme.registry.adopt_orphans();
-        self.retired.extend(orphans);
-        // The scan's rearm (inside empty) re-baselines the backlog, so no
-        // separate bookkeeping is needed for the adopted nodes.
+        self.retired.begin_help(&self.scheme.core, &mut self.tele);
         self.empty();
     }
 
@@ -843,9 +761,7 @@ impl SmrHandle for MpHandle {
         crate::oracle::enter_scheme("MP");
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_start_op(crate::hb::HbPolicy::MP);
-        self.bp_rung = BpLevel::Normal;
-        let retired_len = self.retired.len();
-        self.tele.record_op_start(retired_len);
+        self.retired.start_op(&mut self.tele);
         self.lower_bound = 0;
         self.upper_bound = 0;
         self.use_hp_mode = false;
@@ -871,28 +787,6 @@ impl SmrHandle for MpHandle {
     fn end_op(&mut self) {
         #[cfg(feature = "hb-oracle")]
         crate::hb::on_end_op();
-        if self.scheme.cfg.ablation_per_slot_fence {
-            // Unoptimized baseline: clear everything eagerly, fence after
-            // each slot store.
-            for i in 0..self.local_mps.len() {
-                self.scheme.mp_slots.get(self.tid, i).store(NO_MARGIN, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-                self.scheme.hp_slots.get(self.tid, i).store(NO_HAZARD, Ordering::Release);
-                counted_fence(&mut self.tele, FenceSite::EndOp);
-            }
-            self.scheme.local_epochs.get(self.tid, 0).store(INACTIVE, Ordering::Release);
-            self.local_mps.fill(NO_MARGIN);
-            self.local_hps.fill(NO_HAZARD);
-            self.hps_dirty = false;
-            // The eager clear withdrew every margin; empty the cover cache.
-            self.cover_lo = 1;
-            self.cover_hi = 0;
-            // Invalidate the cached epoch: the next start_op re-announces
-            // (the global epoch starts at 1 and never returns to 0).
-            self.epoch = 0;
-            counted_fence(&mut self.tele, FenceSite::EndOp);
-            return;
-        }
         // Amortized end: release the hazard slots — address protection
         // must not outlive the operation, since addresses are recycled —
         // but KEEP the margins and the epoch announcement. A standing
@@ -960,7 +854,7 @@ impl SmrHandle for MpHandle {
             self.tele.record_collision_alloc(lo);
             USE_HP
         } else {
-            match self.scheme.cfg.index_policy {
+            match self.scheme.core.cfg.index_policy {
                 crate::api::IndexPolicy::Midpoint => lo + (hi - lo) / 2,
                 crate::api::IndexPolicy::AfterPred => lo + 1,
             }
@@ -969,46 +863,27 @@ impl SmrHandle for MpHandle {
     }
 
     fn alloc_with_index<T: Send + Sync>(&mut self, data: T, index: u32) -> Shared<T> {
-        backpressure::before_alloc(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        );
-        self.tele.record_alloc();
         let birth = self.scheme.global_epoch.load(Ordering::SeqCst);
-        let ptr = crate::node::alloc_node_in(data, index, birth, &mut self.tele);
-        // SAFETY: [INV-02] `ptr` was just returned by the node allocator.
-        unsafe { Shared::from_owned(ptr) }
+        self.retired.alloc(&self.scheme.core, &mut self.tele, data, index, birth)
     }
 
     // SAFETY: [INV-11] trait contract: the caller retires a removed node
     // exactly once (the winning unlink CAS is at the call site).
     unsafe fn retire<T: Send + Sync>(&mut self, node: Shared<T>) {
-        self.tele.record_retire(node.addr());
         let stamp = self.scheme.global_epoch.load(Ordering::SeqCst);
         // SAFETY: [INV-04] forwarded from this fn's own contract.
         let r = unsafe { Retired::new(node.as_raw(), stamp) };
-        self.scheme.tele.pending.add(1, r.bytes() as usize);
-        self.scan.note_retire(r.bytes());
-        self.retired.push(r);
-        self.unlink_counter += 1;
+        let due = self.retired.push(&self.scheme.core, &mut self.tele, r);
         // §4.3.2: each thread increments the global epoch once every
         // `epoch_freq` node unlinks — the F of Theorem 4.2's bound.
-        if self.unlink_counter.is_multiple_of(self.scheme.cfg.epoch_freq) {
+        if self.retired.retires().is_multiple_of(self.scheme.core.cfg.epoch_freq) {
             let e = self.scheme.global_epoch.fetch_add(1, Ordering::SeqCst) + 1;
             self.tele.record_epoch_advance(e);
         }
-        if self.scan.due(&self.scheme.scan_policy, self.retired.len()) {
+        if due {
             self.empty();
         }
-        if backpressure::after_retire(
-            &self.scheme.bp_policy,
-            self.scheme.tele.backpressure(),
-            self.scheme.tele.pending_bytes(),
-            &mut self.bp_rung,
-            &mut self.tele,
-        ) {
+        if self.retired.assess_pressure(&self.scheme.core, &mut self.tele) {
             self.help_scan();
         }
     }
@@ -1053,10 +928,7 @@ impl Drop for MpHandle {
         // watermark triggers plus handle churn, skipping this would leak
         // every retired node of short-lived handles into the orphan list.
         self.force_empty();
-        self.scheme.registry.release(self.tid, std::mem::take(&mut *self.retired));
-        // Hand this thread's cached pool blocks to the global shard so a
-        // short-lived worker doesn't strand recycled memory.
-        mp_util::pool::flush();
+        self.retired.deregister(&self.scheme.core);
     }
 }
 

@@ -17,7 +17,7 @@
 pub enum FenceSite {
     /// Operation-start announcement (epoch / era / reservation publish).
     StartOp,
-    /// Operation-end slot clearing (ablation or single batched fence).
+    /// Operation-end slot clearing (HP's single batched fence).
     EndOp,
     /// Mid-operation protection announcement: MP margin announce, HE era
     /// re-publish, IBR upper-bound extension, DTA anchor post.
@@ -130,7 +130,7 @@ impl OpStats {
 
     /// Average scan nanoseconds per reclaimed node — the amortized cost of
     /// the reclamation path. The watermark trigger exists to keep this flat
-    /// as threads scale; the fixed-cadence ablation is its baseline.
+    /// as threads scale.
     pub fn scan_ns_per_free(&self) -> f64 {
         if self.frees == 0 {
             0.0

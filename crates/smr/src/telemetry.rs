@@ -43,6 +43,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use mp_util::hist::Histogram;
+use mp_util::CachePadded;
 use mp_util::ring::RingBuffer;
 
 use crate::schemes::common::PendingGauge;
@@ -953,7 +954,11 @@ impl WasteSeries {
 /// the backpressure ladder state. Returned by
 /// [`Smr::telemetry`](crate::Smr::telemetry).
 pub struct SchemeTelemetry {
-    pub(crate) pending: PendingGauge,
+    /// Written by every handle on every retire and scan, so it gets its
+    /// own cache line: sharing one with the scheme's read-mostly fields
+    /// (slot-array pointers loaded on every protected read) costs each of
+    /// those reads a coherence miss.
+    pub(crate) pending: CachePadded<PendingGauge>,
     waste: WasteSeries,
     backpressure: crate::backpressure::BackpressureState,
 }
@@ -968,7 +973,7 @@ impl SchemeTelemetry {
     /// Fresh state (constructed by each scheme's `new`).
     pub fn new() -> SchemeTelemetry {
         SchemeTelemetry {
-            pending: PendingGauge::default(),
+            pending: CachePadded::new(PendingGauge::default()),
             waste: WasteSeries::new(),
             backpressure: crate::backpressure::BackpressureState::new(),
         }

@@ -37,6 +37,21 @@ done
 echo "==> cargo test -q --workspace --offline"
 cargo test -q --workspace --offline
 
+# Zero-allocation repeat: the steady-state witness counts only the
+# measured thread's allocations, so it must pass every time. Rerun the
+# built binary (≈0.5 s per run) to surface any intermittent count.
+echo "==> tests/zero_alloc.rs x50"
+ZERO_ALLOC_BIN=$(cargo test --offline --test zero_alloc --no-run 2>&1 \
+  | sed -n 's/.*Executable tests\/zero_alloc.rs (\(.*\))/\1/p')
+[[ -x "$ZERO_ALLOC_BIN" ]] || { echo "!! zero_alloc test binary not found" >&2; exit 1; }
+for run in $(seq 1 50); do
+  "$ZERO_ALLOC_BIN" -q >/dev/null || {
+    echo "!! zero_alloc failed on run $run of 50" >&2
+    "$ZERO_ALLOC_BIN" >&2 || true
+    exit 1
+  }
+done
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 

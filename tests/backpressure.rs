@@ -1,5 +1,5 @@
 //! Backpressure ladder integration tests: watermark ordering, hysteretic
-//! release, gauge exactness across the park/adopt path, ablation
+//! release, gauge exactness across the park/adopt path, scan-cadence
 //! independence, and a Checker-seeded monotonicity property.
 //!
 //! The driving trick: a stalled reader thread holds a pinned operation,
@@ -165,18 +165,18 @@ fn gauge_stays_exact_across_drop_park_adopt_and_free() {
     assert_eq!(tele.pending_bytes(), 0, "freed bytes must be subtracted exactly");
 }
 
-/// The fixed-cadence ablation must be byte-for-byte unaffected by the
-/// ladder machinery when the ladder never engages: scan counts and frees
-/// of a deterministic single-threaded run are identical whether the cap
-/// is disabled or set far above the workload's footprint.
+/// A pinned scan cadence must be byte-for-byte unaffected by the ladder
+/// machinery when the ladder never engages: scan counts and frees of a
+/// deterministic single-threaded run are identical whether the cap is
+/// disabled or set far above the workload's footprint.
 #[test]
-fn fixed_cadence_ablation_is_unaffected_by_an_idle_ladder() {
+fn pinned_watermark_scans_are_unaffected_by_an_idle_ladder() {
     fn run(cap: usize) -> (u64, u64, u64) {
         let smr = Mp::new(
             Config::default()
                 .with_max_threads(2)
                 .with_empty_freq(8)
-                .with_fixed_cadence(true)
+                .with_scan_watermark(8)
                 .with_backpressure_bytes(cap),
         );
         let mut h = smr.register();
@@ -194,9 +194,9 @@ fn fixed_cadence_ablation_is_unaffected_by_an_idle_ladder() {
     let (scans_idle, frees_idle, engaged_idle) = run(1 << 30);
     assert_eq!(engaged_off, 0);
     assert_eq!(engaged_idle, 0, "a 1 GiB cap must never engage here");
-    assert_eq!(scans_off, scans_idle, "idle ladder changed the fixed scan cadence");
+    assert_eq!(scans_off, scans_idle, "idle ladder changed the pinned scan cadence");
     assert_eq!(frees_off, frees_idle, "idle ladder changed reclamation");
-    assert!(scans_off > 0, "fixed cadence must have scanned at all");
+    assert!(scans_off > 0, "the pinned watermark must have scanned at all");
 }
 
 /// Checker-seeded property: with a pinned reader the gauge is monotone

@@ -8,28 +8,55 @@
 //! pool hit rate above 90% under churn and that the live-node gauge
 //! returns to its baseline.
 //!
-//! The counting allocator is process-global, so this integration binary
-//! holds exactly one `#[test]` (same discipline as `leak_check`).
+//! The allocator is process-global, but it counts only allocations made
+//! by a thread while that thread's `COUNTING` flag is set — the measured
+//! loop's own thread — so the test harness's other threads (and anything
+//! else running in the process) can never add to the count. The binary
+//! still holds exactly one `#[test]` (same discipline as `leak_check`).
 
 #![cfg(not(feature = "oracle"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use margin_pointers::smr::node::gauge;
 use margin_pointers::smr::schemes::{Hp, Mp};
 use margin_pointers::smr::{telemetry, Config, Smr, SmrHandle, Telemetry};
 
-/// Counts every heap allocation made by the process.
+/// Counts the heap allocations made by threads inside [`count_allocs`].
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set while this thread runs a measured section. Const-initialized
+    /// with no destructor, so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Records one allocation if the calling thread is being measured.
+fn note_alloc() {
+    // `try_with`: the allocator may run while thread-locals are torn down.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `f` and returns the heap allocations this thread made during it.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    f();
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
 
 // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
         unsafe { System.alloc(layout) }
     }
@@ -42,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -84,18 +111,18 @@ fn steady_state_churn_does_not_allocate() {
     // Measure pool efficacy over the steady phase only.
     h.reset_telemetry();
 
-    let heap_allocs_before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..64 {
-        h.start_op();
-        for i in 0..128u64 {
-            let n = h.alloc(i);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { h.retire(n) };
+    let heap_allocs = count_allocs(|| {
+        for _ in 0..64 {
+            h.start_op();
+            for i in 0..128u64 {
+                let n = h.alloc(i);
+                // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+                unsafe { h.retire(n) };
+            }
+            h.end_op();
+            h.force_empty();
         }
-        h.end_op();
-        h.force_empty();
-    }
-    let heap_allocs = ALLOCS.load(Ordering::Relaxed) - heap_allocs_before;
+    });
 
     let snap = h.snapshot();
     assert_eq!(
@@ -139,17 +166,17 @@ fn steady_state_churn_does_not_allocate() {
     h.force_empty();
     h.reset_telemetry();
 
-    let heap_allocs_before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..64 {
-        h.start_op();
-        for i in 0..128u64 {
-            let n = h.alloc(i);
-            // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
-            unsafe { h.retire(n) };
+    let heap_allocs = count_allocs(|| {
+        for _ in 0..64 {
+            h.start_op();
+            for i in 0..128u64 {
+                let n = h.alloc(i);
+                // SAFETY: [INV-12] test-controlled: the nodes involved are test-owned (unpublished or unlinked here) or the protecting span is held open by the test.
+                unsafe { h.retire(n) };
+            }
+            h.end_op();
         }
-        h.end_op();
-    }
-    let heap_allocs = ALLOCS.load(Ordering::Relaxed) - heap_allocs_before;
+    });
     let snap = h.snapshot();
     assert!(snap.empties() > 0, "watermark scans must fire without force_empty");
     assert_eq!(
